@@ -10,14 +10,10 @@
 // IQL graph workloads with `EvalOptions::il_opt` (the verified optimizer
 // of iql/ilopt.h); run_all.sh pairs them with _Vm under `.vm_opt`,
 // together with instructions retired per emitted fact from the
-// vm_instructions counter. The _VmFused series add the full second
-// execution tier on top -- threaded dispatch plus superinstruction
-// fusion (EvalOptions::il_fuse) -- and run_all.sh pairs them with
-// _VmOpt (or _Vm where no _VmOpt series exists) under `.vm_fused`. The
-// powerset series keeps its invention rules on the tree-walker (IL
-// compilation declines them), so it bounds the win when only part of a
-// program is VM-eligible; the Datalog pairs compare EvalMode::kVm
-// (plain and fused plans) against kSemiNaiveIndexed.
+// vm_instructions counter. The powerset series keeps its invention rules
+// on the tree-walker (IL compilation declines them), so it bounds the win
+// when only part of a program is VM-eligible; the Datalog pair compares
+// EvalMode::kVm against kSemiNaiveIndexed.
 
 #include <benchmark/benchmark.h>
 
@@ -75,7 +71,7 @@ EvalOptions EngineOptions(EvalOptions::Engine engine) {
 
 void RunGraphProgram(benchmark::State& state, std::string_view source,
                      std::string_view out_rel, EvalOptions::Engine engine,
-                     bool il_opt = false, bool il_fuse = false) {
+                     bool il_opt = false) {
   int n = static_cast<int>(state.range(0));
   auto edges = RandomGraph(n, 2 * n, 17);
   size_t result_size = 0;
@@ -86,7 +82,6 @@ void RunGraphProgram(benchmark::State& state, std::string_view source,
     for (auto [a, b] : edges) run.AddEdge("E", a, b);
     EvalOptions options = EngineOptions(engine);
     options.il_opt = il_opt;
-    options.il_fuse = il_fuse;
     options.metrics = &metrics;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);
@@ -128,16 +123,6 @@ BENCHMARK(BM_Vm_Tc_VmOpt)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_Vm_Tc_VmFused(benchmark::State& state) {
-  RunGraphProgram(state, kTC, "TC", EvalOptions::Engine::kVm,
-                  /*il_opt=*/true, /*il_fuse=*/true);
-}
-BENCHMARK(BM_Vm_Tc_VmFused)
-    ->RangeMultiplier(2)
-    ->Range(32, 128)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
 void BM_Vm_Join_TreeWalk(benchmark::State& state) {
   RunGraphProgram(state, kTriangles, "T", EvalOptions::Engine::kTreeWalk);
 }
@@ -166,27 +151,13 @@ BENCHMARK(BM_Vm_Join_VmOpt)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_Vm_Join_VmFused(benchmark::State& state) {
-  RunGraphProgram(state, kTriangles, "T", EvalOptions::Engine::kVm,
-                  /*il_opt=*/true, /*il_fuse=*/true);
-}
-BENCHMARK(BM_Vm_Join_VmFused)
-    ->RangeMultiplier(2)
-    ->Range(64, 256)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void RunPowerset(benchmark::State& state, EvalOptions::Engine engine,
-                 bool il_fuse = false) {
+void RunPowerset(benchmark::State& state, EvalOptions::Engine engine) {
   int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     PreparedRun run(kPowerset);
     for (int i = 0; i < n; ++i) run.AddUnary("R", i);
-    EvalOptions options = EngineOptions(engine);
-    options.il_opt = il_fuse;
-    options.il_fuse = il_fuse;
     auto start = std::chrono::steady_clock::now();
-    auto out = run.Run(options);
+    auto out = run.Run(EngineOptions(engine));
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(out.ok()) << out.status();
     size_t subsets = out->Relation(run.universe.Intern("R1")).size();
@@ -212,18 +183,9 @@ BENCHMARK(BM_Vm_Powerset_Vm)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_Vm_Powerset_VmFused(benchmark::State& state) {
-  RunPowerset(state, EvalOptions::Engine::kVm, /*il_fuse=*/true);
-}
-BENCHMARK(BM_Vm_Powerset_VmFused)
-    ->DenseRange(3, 5, 1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
 // Datalog core: the compiled bind/check plans (EvalMode::kVm) against the
 // indexed interpreter they were lowered from.
-void RunDatalogTc(benchmark::State& state, datalog::EvalMode mode,
-                  datalog::VmOptions vm = {}) {
+void RunDatalogTc(benchmark::State& state, datalog::EvalMode mode) {
   int n = static_cast<int>(state.range(0));
   auto edges = RandomGraph(n, 2 * n, 17);
   size_t result_size = 0;
@@ -247,9 +209,7 @@ void RunDatalogTc(benchmark::State& state, datalog::EvalMode mode,
       db.AddFact(e, {db.InternConstant(a), db.InternConstant(b)});
     }
     auto start = std::chrono::steady_clock::now();
-    Status s = datalog::Evaluate(prog, &db, mode, /*stats=*/nullptr,
-                                 /*num_threads=*/1, /*governor=*/nullptr,
-                                 vm);
+    Status s = datalog::Evaluate(prog, &db, mode);
     auto end = std::chrono::steady_clock::now();
     IQL_CHECK(s.ok()) << s;
     result_size = db.FactCount(tc);
@@ -272,16 +232,6 @@ void BM_Vm_Datalog_Vm(benchmark::State& state) {
   RunDatalogTc(state, datalog::EvalMode::kVm);
 }
 BENCHMARK(BM_Vm_Datalog_Vm)
-    ->RangeMultiplier(2)
-    ->Range(64, 256)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Vm_Datalog_VmFused(benchmark::State& state) {
-  RunDatalogTc(state, datalog::EvalMode::kVm,
-               datalog::VmOptions{/*threaded=*/true, /*fuse=*/true});
-}
-BENCHMARK(BM_Vm_Datalog_VmFused)
     ->RangeMultiplier(2)
     ->Range(64, 256)
     ->UseManualTime()

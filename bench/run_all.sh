@@ -43,6 +43,9 @@ for bin in "${benches[@]}"; do
 done
 
 # Merge: {"context": {...host facts...}, "runs": {bench name: output}}.
+# Each derived block below is skipped when its source binary did not run,
+# and fails the script when the binary ran but yielded no matched points
+# (a renamed series must not silently drop its summary).
 jq -n \
   --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
   --arg cores "$(nproc)" \
@@ -75,6 +78,8 @@ jq '
       .governor = {overhead_ratio: (($ratios | add) / ($ratios | length)),
                    target_max_ratio: 1.03,
                    points: ($ratios | length)}
+    elif .runs.bench_governor then
+      error("bench_governor ran but matched no Governed/Ungoverned points")
     else . end
 ' "$OUT.tmp" > "$OUT.tmp2"
 mv "$OUT.tmp2" "$OUT.tmp"
@@ -98,6 +103,8 @@ jq '
                     target_max_ratio: 1.10,
                     points: ($ratios | length),
                     throughput: $throughput}
+    elif .runs.bench_scheduler then
+      error("bench_scheduler ran but matched no Scheduled/Direct points")
     else . end
 ' "$OUT.tmp" > "$OUT.tmp2"
 mv "$OUT.tmp2" "$OUT.tmp"
@@ -118,6 +125,8 @@ jq '
       .vm = {mean_speedup: (([$pairs[].speedup] | add) / ($pairs | length)),
              points: ($pairs | length),
              pairs: $pairs}
+    elif .runs.bench_vm then
+      error("bench_vm ran but matched no _Vm/_TreeWalk points")
     else . end
 ' "$OUT.tmp" > "$OUT.tmp2"
 mv "$OUT.tmp2" "$OUT.tmp"
@@ -149,43 +158,8 @@ jq '
                    (([$pairs[].speedup] | add) / ($pairs | length)),
                  points: ($pairs | length),
                  pairs: $pairs}
-    else . end
-' "$OUT.tmp" > "$OUT.tmp2"
-mv "$OUT.tmp2" "$OUT.tmp"
-# Fused execution tier: matched _VmFused bench_vm series (threaded
-# dispatch + EvalOptions::il_fuse on top of il_opt) against the best
-# non-fused baseline -- _VmOpt where that series exists, plain _Vm
-# otherwise (powerset, Datalog). Also records fused superinstructions
-# dispatched and constituent instructions per emitted fact, so the
-# dispatch reduction is visible even when wall time is noise-bound.
-# Recorded under .vm_fused.
-jq '
-  (.runs.bench_vm.benchmarks // []) as $b
-  | [ $b[] | select(.name | contains("_VmFused/"))
-      | {key: (.name | sub("_VmFused/"; "/")), t: .real_time,
-         fused: (.vm_fused_dispatches // 0),
-         ipe: (if (.rule_derivations // 0) > 0
-               then (.vm_instructions / .rule_derivations) else null end)} ]
-      as $fused
-  | [ $b[] | select(.name | contains("_VmOpt/"))
-      | {key: (.name | sub("_VmOpt/"; "/")), t: .real_time} ] as $opt
-  | [ $b[] | select((.name | contains("_Vm/")) and
-                    (.name | contains("_VmOpt/") | not))
-      | {key: (.name | sub("_Vm/"; "/")), t: .real_time} ] as $plain
-  | [ $fused[] as $f
-      | [ $opt[] | select(.key == $f.key) ] as $o
-      | (($o + [$plain[] | select(.key == $f.key)]) | first) as $base
-      | select($base != null)
-      | {workload: $f.key,
-         baseline: (if ($o | length) > 0 then "vm_opt" else "vm" end),
-         speedup: ($base.t / $f.t),
-         fused_dispatches: $f.fused,
-         instructions_per_emit: $f.ipe} ] as $pairs
-  | if ($pairs | length) > 0 then
-      .vm_fused = {mean_speedup:
-                     (([$pairs[].speedup] | add) / ($pairs | length)),
-                   points: ($pairs | length),
-                   pairs: $pairs}
+    elif .runs.bench_vm then
+      error("bench_vm ran but matched no _Vm/_VmOpt points")
     else . end
 ' "$OUT.tmp" > "$OUT.tmp2"
 mv "$OUT.tmp2" "$OUT.tmp"
@@ -212,6 +186,8 @@ jq '
                      target_max_ratio: 1.5,
                      points: ($ratios | length),
                      recover: $recover}
+    elif .runs.bench_durability then
+      error("bench_durability ran but matched no Durable/Plain points")
     else . end
 ' "$OUT.tmp" > "$OUT.tmp2"
 mv "$OUT.tmp2" "$OUT.tmp"
@@ -231,6 +207,8 @@ jq '
       .serve = {qps: $qps,
                 peak_qps: ([$qps[].qps] | max),
                 first_page: $lat}
+    elif .runs.bench_serve then
+      error("bench_serve ran but matched no BM_Serve_Qps points")
     else . end
 ' "$OUT.tmp" > "$OUT.tmp2"
 mv "$OUT.tmp2" "$OUT.tmp"
@@ -252,11 +230,6 @@ if jq -e '.vm_opt' "$OUT" > /dev/null; then
   echo "il_opt mean speedup over plain vm:" \
        "$(jq '.vm_opt.mean_speedup' "$OUT")" \
        "($(jq '.vm_opt.points' "$OUT") matched points)"
-fi
-if jq -e '.vm_fused' "$OUT" > /dev/null; then
-  echo "fused tier mean speedup over non-fused baseline:" \
-       "$(jq '.vm_fused.mean_speedup' "$OUT")" \
-       "($(jq '.vm_fused.points' "$OUT") matched points)"
 fi
 if jq -e '.durability' "$OUT" > /dev/null; then
   echo "durability overhead ratio: $(jq '.durability.overhead_ratio' "$OUT")" \

@@ -9,13 +9,6 @@
 #include "base/logging.h"
 #include "base/thread_pool.h"
 
-// Computed-goto action dispatch is a GCC/Clang extension; the same gate
-// the IQL VM uses (iql/vm.cc) selects it, and IQLKIT_FORCE_SWITCH_DISPATCH
-// forces the portable switch interpreter for differential builds.
-#if defined(__GNUC__) && !defined(IQLKIT_FORCE_SWITCH_DISPATCH)
-#define IQLKIT_DATALOG_THREADED_DISPATCH 1
-#endif
-
 namespace iqlkit::datalog {
 
 size_t TupleHash::operator()(const Tuple& t) const {
@@ -166,13 +159,12 @@ constexpr size_t kParallelMinFacts = 4;
 class Engine {
  public:
   Engine(const Program& program, Database* db, Stats* stats, ThreadPool* pool,
-         Governor* governor, VmOptions vm_opts)
+         Governor* governor)
       : program_(program),
         db_(db),
         stats_(stats),
         pool_(pool),
-        governor_(governor),
-        vm_opts_(vm_opts) {}
+        governor_(governor) {}
 
   Status Run(EvalMode mode) {
     IQL_ASSIGN_OR_RETURN(std::vector<int> strata,
@@ -184,8 +176,6 @@ class Engine {
     }
     vm_ = mode == EvalMode::kVm;
     indexed_ = mode == EvalMode::kSemiNaiveIndexed || vm_;
-    fuse_ = vm_ && vm_opts_.fuse;
-    threaded_ = vm_opts_.threaded;
     if (vm_) CompilePlans();
     stats_->rule_derivations.assign(program_.rules.size(), 0);
     // Context 0 serves serial joins; 1..workers are fan-out slots. Each
@@ -244,16 +234,6 @@ class Engine {
     // computation). 0 when the atom has no bound position or its arity
     // exceeds the 32-bit mask, forcing the dense scan either way.
     uint32_t mask = 0;
-    // Fused re-plan (VmOptions::fuse): the same actions grouped into
-    // phase-ordered check lists, then the binds. A within-atom repeat of a
-    // variable first bound *by this atom* cannot check the environment
-    // before the bind runs, so it becomes a fact-position pair compare
-    // against the first occurrence. Failures touch env not at all, which
-    // is what lets MatchFused skip the unbind on the failure path.
-    std::vector<Action> const_checks;   // fact[pos] == val
-    std::vector<Action> var_checks;     // fact[pos] == env[val]
-    std::vector<std::pair<uint16_t, uint16_t>> pair_checks;  // pos == pos0
-    std::vector<Action> bind_acts;      // env[val] = fact[pos]
   };
 
   struct RulePlan {
@@ -408,7 +388,7 @@ class Engine {
           for (size_t f = lo; f < hi; ++f) {
             if (governor_ != nullptr && governor_->tripped()) return;
             if (vm_) {
-              if (Match(plans_[i].atoms[0], facts[f], env)) {
+              if (MatchPlanned(plans_[i].atoms[0], facts[f], env)) {
                 JoinBodyVm(rule, plans_[i], env, 1, delta_atom, delta_begin,
                            ctx);
               }
@@ -492,32 +472,6 @@ class Engine {
             ap.mask |= uint32_t{1} << k;
           }
         }
-        if (fuse_) {
-          // Phase grouping preserves relative order within each phase, so
-          // the conjunction of checks -- a pure function of (fact, env) --
-          // is the one the position-order interpreter computes.
-          std::unordered_map<Value, uint16_t> first_pos;
-          for (const Action& a : ap.actions) {
-            switch (a.kind) {
-              case Action::kCheckConst:
-                ap.const_checks.push_back(a);
-                break;
-              case Action::kBind:
-                first_pos.emplace(a.val, a.pos);
-                ap.bind_acts.push_back(a);
-                break;
-              case Action::kCheckVar: {
-                auto it = first_pos.find(a.val);
-                if (it != first_pos.end()) {
-                  ap.pair_checks.emplace_back(a.pos, it->second);
-                } else {
-                  ap.var_checks.push_back(a);
-                }
-                break;
-              }
-            }
-          }
-        }
         bound.insert(here.begin(), here.end());
       }
     }
@@ -553,74 +507,6 @@ class Engine {
 
   static void UnbindPlanned(const AtomPlan& ap, std::vector<Value>& env) {
     for (Value v : ap.binds) env[v] = kUnbound;
-  }
-
-  // The fused matcher: all checks, then all binds. Same decision as
-  // MatchPlanned for every (fact, env) -- checks read only earlier-atom
-  // bindings and the fact itself -- but a failure returns with env
-  // untouched, so no unbind runs on the (dominant) miss path.
-  static bool MatchFused(const AtomPlan& ap, const Tuple& fact,
-                         std::vector<Value>& env) {
-    for (const Action& a : ap.const_checks) {
-      if (fact[a.pos] != a.val) return false;
-    }
-    for (const Action& a : ap.var_checks) {
-      if (env[a.val] != fact[a.pos]) return false;
-    }
-    for (const auto& [pos, pos0] : ap.pair_checks) {
-      if (fact[pos] != fact[pos0]) return false;
-    }
-    for (const Action& a : ap.bind_acts) env[a.val] = fact[a.pos];
-    return true;
-  }
-
-#ifdef IQLKIT_DATALOG_THREADED_DISPATCH
-  // MatchPlanned with the per-action switch replaced by an indirect jump
-  // through a label table: each action body jumps straight to the next
-  // action's body, so the branch predictor keys on per-transition targets
-  // instead of one shared dispatch branch. Same bodies, same order, same
-  // result as the switch interpreter.
-  static bool MatchPlannedThreaded(const AtomPlan& ap, const Tuple& fact,
-                                   std::vector<Value>& env) {
-    static const void* const kKind[] = {&&act_check_const, &&act_bind,
-                                        &&act_check_var};
-    const Action* a = ap.actions.data();
-    const Action* const end = a + ap.actions.size();
-#define DL_NEXT()                 \
-  do {                            \
-    if (a == end) return true;    \
-    goto* kKind[a->kind];         \
-  } while (0)
-    DL_NEXT();
-  act_check_const:
-    if (fact[a->pos] != a->val) goto fail;
-    ++a;
-    DL_NEXT();
-  act_bind:
-    env[a->val] = fact[a->pos];
-    ++a;
-    DL_NEXT();
-  act_check_var:
-    if (env[a->val] != fact[a->pos]) goto fail;
-    ++a;
-    DL_NEXT();
-  fail:
-    UnbindPlanned(ap, env);
-    return false;
-#undef DL_NEXT
-  }
-#endif  // IQLKIT_DATALOG_THREADED_DISPATCH
-
-  // Selects the matcher the run's VmOptions ask for. All three compute
-  // the identical match decision; they differ only in dispatch mechanics
-  // and failure-path writes.
-  bool Match(const AtomPlan& ap, const Tuple& fact,
-             std::vector<Value>& env) const {
-    if (fuse_) return MatchFused(ap, fact, env);
-#ifdef IQLKIT_DATALOG_THREADED_DISPATCH
-    if (threaded_) return MatchPlannedThreaded(ap, fact, env);
-#endif
-    return MatchPlanned(ap, fact, env);
   }
 
   // The kVm executor: iterates body levels j0..end with an explicit
@@ -706,7 +592,7 @@ class Engine {
         if (governor_ != nullptr && !governor_->Poll().ok()) break;
         size_t f = lvl.bucket != nullptr ? (*lvl.bucket)[lvl.idx] : lvl.idx;
         ++lvl.idx;
-        if (Match(ap, (*lvl.facts)[f], env)) {
+        if (MatchPlanned(ap, (*lvl.facts)[f], env)) {
           found = true;
           break;
         }
@@ -823,11 +709,8 @@ class Engine {
   Governor* governor_ = nullptr;
   std::vector<int> var_counts_;
   std::vector<RulePlan> plans_;  // kVm: one compiled plan per rule
-  VmOptions vm_opts_;
   bool indexed_ = false;
   bool vm_ = false;
-  bool fuse_ = false;     // kVm with VmOptions::fuse
-  bool threaded_ = true;  // kVm dispatch choice (when compiled in)
   size_t current_rule_ = 0;
   // ctxs_[0] is the serial context; ctxs_[1 + w] belongs to worker w.
   std::vector<JoinCtx> ctxs_;
@@ -836,15 +719,14 @@ class Engine {
 }  // namespace
 
 Status Evaluate(const Program& program, Database* db, EvalMode mode,
-                Stats* stats, uint32_t num_threads, Governor* governor,
-                VmOptions vm) {
+                Stats* stats, uint32_t num_threads, Governor* governor) {
   Stats local;
   if (stats == nullptr) stats = &local;
   size_t threads = ResolveThreadCount(num_threads);
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
   Engine engine(program, db, stats, pool.has_value() ? &*pool : nullptr,
-                governor, vm);
+                governor);
   Status run = engine.Run(mode);
   if (!run.ok() && governor != nullptr && governor->tripped()) {
     ResourceReport report = governor->Report();

@@ -113,24 +113,6 @@ enum class EvalMode {
   kVm,
 };
 
-// Execution knobs for the kVm engine (ignored by the interpreted modes).
-// Both default to the fast settings; both are output-invariant -- the
-// match decision per (atom, fact, env) is a pure function, so candidate
-// order, index probes, governor polls, and facts_ insertion order are
-// byte-for-byte those of the baseline action interpreter.
-struct VmOptions {
-  // Dispatch atom actions through a computed-goto loop where the build
-  // supports it (GCC/Clang without IQLKIT_FORCE_SWITCH_DISPATCH);
-  // otherwise the switch interpreter runs regardless of this flag.
-  bool threaded = true;
-  // Re-plan each atom's action list into phase-ordered check lists
-  // (constant checks, bound-variable checks, within-atom repeat checks as
-  // fact-position pair compares) followed by the binds. Checks cannot
-  // observe this atom's own binds, so failures write nothing and the
-  // per-candidate unbind on the failure path disappears.
-  bool fuse = false;
-};
-
 struct Stats {
   uint64_t iterations = 0;
   uint64_t derivations = 0;  // satisfying body valuations found
@@ -164,7 +146,7 @@ struct Stats {
 // is present (a forced fault trips it, draining the pool).
 Status Evaluate(const Program& program, Database* db, EvalMode mode,
                 Stats* stats = nullptr, uint32_t num_threads = 1,
-                Governor* governor = nullptr, VmOptions vm = {});
+                Governor* governor = nullptr);
 
 // Computes the stratification: stratum index per relation, or an error if
 // the program recurses through negation.

@@ -889,9 +889,6 @@ class StageRunner {
         if (options_.il_opt && compiled_[i].has_value()) {
           compiled_[i] = il::OptimizeForExecution(*compiled_[i]);
         }
-        if (options_.il_fuse && compiled_[i].has_value()) {
-          compiled_[i] = il::FuseForExecution(*compiled_[i]);
-        }
       }
     }
   }
@@ -969,9 +966,6 @@ class StageRunner {
       if (options_.il_opt && cr.has_value()) {
         cr = il::OptimizeForExecution(*cr);
       }
-      if (options_.il_fuse && cr.has_value()) {
-        cr = il::FuseForExecution(*cr);
-      }
       it = delta_compiled_.emplace(key, std::move(cr)).first;
     }
     return it->second.has_value() ? &*it->second : nullptr;
@@ -993,7 +987,6 @@ class StageRunner {
       vctx.values = ctx.values;
       vctx.governor = ctx.governor;
       vctx.prepared = prepared;
-      vctx.threaded = options_.dispatch == EvalOptions::Dispatch::kThreaded;
       out->regvm.emplace(*cr, inst, vctx, delta_facts);
     } else {
       out->tree.emplace(prog_, rules_[r], inst, ctx, delta_literal,
@@ -1421,7 +1414,6 @@ class StageRunner {
         rm->index_probes += st.shard.index_probes;
         rm->index_scans += st.shard.index_scans;
         rm->vm_instructions += st.shard.vm_instructions;
-        rm->vm_fused_dispatches += st.shard.vm_fused_dispatches;
       }
       if (st.index.has_value()) FoldIndexCounters(*st.index);
     }
@@ -1971,7 +1963,6 @@ std::string EvalMetrics::ToJson() const {
        << ",\"index_scans\":" << r.index_scans
        << ",\"parallel_partitions\":" << r.parallel_partitions
        << ",\"vm_instructions\":" << r.vm_instructions
-       << ",\"vm_fused_dispatches\":" << r.vm_fused_dispatches
        << ",\"seconds\":" << r.seconds << "}";
   }
   os << "],\"rounds\":[";

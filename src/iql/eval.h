@@ -33,15 +33,8 @@ struct RuleMetrics {
   uint64_t parallel_partitions = 0;
   // IL instructions the register VM dispatched for this rule (0 under the
   // tree-walker); with EvalOptions::il_opt this is the retired-work number
-  // the optimizer shrinks. Fused superinstructions count as their
-  // constituent instructions along the executed path (a kDestructure that
-  // extracts three fields counts four), so the number stays comparable
-  // across EvalOptions::il_fuse; the failing-path approximation is exact
-  // actual-dispatch counting via vm_fused_dispatches below.
+  // the optimizer shrinks. Exactly one per dispatched instruction.
   uint64_t vm_instructions = 0;
-  // Fused superinstruction dispatches (kDestructure, kCmpN, and one per
-  // kScanRelKeyed candidate-list resolution). 0 without il_fuse.
-  uint64_t vm_fused_dispatches = 0;
   double seconds = 0.0;       // wall time spent inside this rule's solver
 };
 
@@ -196,27 +189,6 @@ struct EvalOptions {
   // and governor derivation trips, are byte-identical with it off; the
   // differential suites enforce this.
   bool il_opt = false;
-
-  // VM dispatch tier. kThreaded uses the computed-goto (labels-as-values)
-  // loop when the build supports it -- GCC/Clang without
-  // -DIQLKIT_FORCE_SWITCH_DISPATCH -- replicating the indirect jump at
-  // every instruction end so the branch predictor sees one history per
-  // opcode pair; kSwitch forces the portable switch loop. Both tiers run
-  // the same op bodies, so the choice is invisible in the output; the
-  // dispatch-matrix CI job runs the differential suites under both
-  // compile-time configurations.
-  enum class Dispatch { kSwitch, kThreaded };
-  Dispatch dispatch = Dispatch::kThreaded;
-
-  // Run the superinstruction fusion pass (FuseRule, iql/ilopt.h) over
-  // every compiled rule after the optimizer: kMatchTuple + kGetField*
-  // collapse to kDestructure, strict kScanRel + guard to kScanRelKeyed
-  // (the VM compares keyed fields positionally per candidate), and
-  // equality-filter runs to kCmpN. Only meaningful with engine == kVm.
-  // Pure optimization: emitted valuations and WriteFacts output are
-  // byte-identical with it off, enforced by the engine x dispatch x
-  // fusion x threads differential matrix.
-  bool il_fuse = false;
 
   // Durable evaluation. When `sink` is set the work instance keeps a
   // per-step journal of fact operations, and after every committed fixpoint

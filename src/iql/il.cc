@@ -604,49 +604,6 @@ std::string RenderInstr(const CompiledRule& cr, size_t pc,
       out << "}";
       break;
     }
-    case Op::kDestructure: {
-      // Aux pairs are (field position, dst register); render positions as
-      // the shape's attr names so the dump reads like the unfused match.
-      out << "destructure " << reg(in.a) << " [";
-      const auto& shape = cr.shapes[in.imm];
-      for (size_t k = 0; k < shape.size(); ++k) {
-        if (k > 0) out << ", ";
-        out << name(shape[k]);
-      }
-      out << "] -> {";
-      for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
-        if (k > 0) out << ", ";
-        out << name(shape[cr.aux[in.aux + k]]) << ": "
-            << reg(static_cast<uint16_t>(cr.aux[in.aux + k + 1]));
-      }
-      out << "}";
-      break;
-    }
-    case Op::kScanRelKeyed: {
-      out << reg(in.dst) << " = scan_rel_keyed " << name(in.sym) << " [";
-      const auto& shape = cr.shapes[in.imm];
-      for (size_t k = 0; k < shape.size(); ++k) {
-        if (k > 0) out << ", ";
-        out << name(shape[k]);
-      }
-      out << "] key![";
-      for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
-        if (k > 0) out << ", ";
-        out << name(shape[cr.aux[in.aux + k]]) << ": "
-            << reg(static_cast<uint16_t>(cr.aux[in.aux + k + 1]));
-      }
-      out << "]";
-      break;
-    }
-    case Op::kCmpN: {
-      out << "cmp_n";
-      for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
-        out << (k > 0 ? ", (" : " (")
-            << reg(static_cast<uint16_t>(cr.aux[in.aux + k])) << ", "
-            << reg(static_cast<uint16_t>(cr.aux[in.aux + k + 1])) << ")";
-      }
-      break;
-    }
   }
   return out.str();
 }

@@ -74,24 +74,7 @@ enum class Op : uint8_t {
   kScanExtent,  // dst ranges over the extent of type imm (binds directly)
   // Terminator.
   kEmit,        // fire the callback with theta, then backtrack
-  // Fused superinstructions. Only the fusion pass (FuseRule in
-  // iql/ilopt.h) emits these; CompileRule never does, so raw lowerings
-  // stay fusion-free and the golden corpora pin each tier separately.
-  kDestructure,   // kMatchTuple + kGetField*: shape-check the tuple in a
-                  // against shapes[imm], then extract naux/2 (field
-                  // position, dst register) aux pairs in one dispatch
-  kScanRelKeyed,  // strict kScanRel + absorbed kMatchTuple guard: dst
-                  // ranges over rho(sym) restricted to tuples of exactly
-                  // shapes[imm] whose naux/2 (field position, key
-                  // register) aux pairs match -- positions ascending, so
-                  // the derived attr list satisfies the index Probe order
-  kCmpN,          // a run of kCmp/kCheckEq(pol=true): naux/2 (a, b) aux
-                  // register pairs, FAIL on the first unequal pair
 };
-
-// Total opcode count; the threaded VM's jump table is indexed by Op and
-// must cover exactly this range (static_asserted in iql/vm.cc).
-inline constexpr size_t kNumOps = static_cast<size_t>(Op::kCmpN) + 1;
 
 // Sentinel for Instr::src: the instruction was synthesized by the planner
 // (extent ranges, the final kEmit) rather than lowered from a body literal.

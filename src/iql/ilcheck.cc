@@ -14,7 +14,6 @@ bool IsScan(Op op) {
     case Op::kScanSet:
     case Op::kScanDelta:
     case Op::kScanExtent:
-    case Op::kScanRelKeyed:
       return true;
     default:
       return false;
@@ -55,21 +54,7 @@ void ForEachUse(const CompiledRule& cr, size_t pc,
     case Op::kMatchTuple:
     case Op::kBindType:
     case Op::kScanSet:
-    case Op::kDestructure:
       fn(in.a);
-      break;
-    case Op::kScanRelKeyed:
-      // (field position, key register) pairs: keys at odd offsets, read
-      // when the scan resolves, like a probe spec.
-      for (size_t k = 0; k + 1 < AuxCount(cr, in); k += 2) {
-        fn(static_cast<uint16_t>(cr.aux[in.aux + k + 1]));
-      }
-      break;
-    case Op::kCmpN:
-      // Every aux entry is a compared register.
-      for (size_t k = 0; k < AuxCount(cr, in); ++k) {
-        fn(static_cast<uint16_t>(cr.aux[in.aux + k]));
-      }
       break;
     case Op::kCheckRel:
     case Op::kCheckClass:
@@ -113,25 +98,10 @@ int DefOf(const Instr& in) {
     case Op::kScanSet:
     case Op::kScanDelta:
     case Op::kScanExtent:
-    case Op::kScanRelKeyed:
       return in.dst;
     default:
-      return -1;  // checks, filters, kEmit, and multi-def kDestructure
+      return -1;
   }
-}
-
-void ForEachDef(const CompiledRule& cr, size_t pc,
-                const std::function<void(uint16_t)>& fn) {
-  const Instr& in = cr.code[pc];
-  if (in.op == Op::kDestructure) {
-    // (field position, dst register) pairs: dsts at odd offsets.
-    for (size_t k = 0; k + 1 < AuxCount(cr, in); k += 2) {
-      fn(static_cast<uint16_t>(cr.aux[in.aux + k + 1]));
-    }
-    return;
-  }
-  int d = DefOf(in);
-  if (d >= 0) fn(static_cast<uint16_t>(d));
 }
 
 DefUse BuildDefUse(const CompiledRule& cr) {
@@ -142,11 +112,10 @@ DefUse BuildDefUse(const CompiledRule& cr) {
     ForEachUse(cr, pc, [&](uint16_t r) {
       if (r < cr.num_regs) du.uses[r].push_back(static_cast<uint32_t>(pc));
     });
-    ForEachDef(cr, pc, [&](uint16_t d) {
-      if (d < cr.num_regs && du.def[d] < 0) {
-        du.def[d] = static_cast<int>(pc);
-      }
-    });
+    int d = DefOf(cr.code[pc]);
+    if (d >= 0 && d < cr.num_regs && du.def[d] < 0) {
+      du.def[d] = static_cast<int>(pc);
+    }
   }
   return du;
 }
@@ -183,8 +152,9 @@ std::vector<LiveRange> ComputeLiveRanges(const CompiledRule& cr) {
 
 std::vector<AbsVal> PropagateAbstract(const CompiledRule& cr) {
   std::vector<AbsVal> abs(cr.num_regs);
-  for (size_t pc = 0; pc < cr.code.size(); ++pc) {
-    const Instr& in = cr.code[pc];
+  for (const Instr& in : cr.code) {
+    int d = DefOf(in);
+    if (d < 0 || d >= cr.num_regs) continue;
     AbsVal v;
     switch (in.op) {
       case Op::kLoadConst:
@@ -206,19 +176,10 @@ std::vector<AbsVal> PropagateAbstract(const CompiledRule& cr) {
       case Op::kMakeSet:
         v.kind = AbsVal::Kind::kSet;
         break;
-      case Op::kScanRelKeyed:
-        // Candidates are exactly tuples of the fused shape guard.
-        v.kind = AbsVal::Kind::kTuple;
-        v.shape = in.imm;
-        break;
       default:
-        break;  // scans, kDeref, kGetField, kDestructure dsts: kAny
+        break;  // scans, kDeref, kGetField: kAny
     }
-    ForEachDef(cr, pc, [&](uint16_t d) {
-      if (d < cr.num_regs) {
-        abs[d] = in.op == Op::kDestructure ? AbsVal{} : v;
-      }
-    });
+    abs[d] = v;
   }
   return abs;
 }
@@ -284,8 +245,7 @@ std::vector<IlViolation> VerifyRule(const CompiledRule& cr) {
     // aux-range validity (checked before anything reads the range).
     if (in.naux > 0) {
       bool takes_aux = in.op == Op::kMakeTuple || in.op == Op::kMakeSet ||
-                       IsContainerScan(in.op) || in.op == Op::kDestructure ||
-                       in.op == Op::kScanRelKeyed || in.op == Op::kCmpN;
+                       IsContainerScan(in.op);
       if (!takes_aux) {
         bad(pc, "aux operands on an instruction that takes none");
       } else if (static_cast<uint64_t>(in.aux) + in.naux > cr.aux.size()) {
@@ -309,52 +269,12 @@ std::vector<IlViolation> VerifyRule(const CompiledRule& cr) {
         }
       }
     }
-    if (in.strict && in.op != Op::kScanRelKeyed &&
-        (!IsContainerScan(in.op) || in.naux == 0)) {
+    if (in.strict && (!IsContainerScan(in.op) || in.naux == 0)) {
       bad(pc, "strict flag without a container-scan probe spec");
     }
     if ((in.op == Op::kScanDelta || in.op == Op::kScanExtent) &&
         in.naux != 0) {
       bad(pc, "probe spec on a delta/extent scan");
-    }
-
-    // Fused superinstructions: pair layout, shape coverage, and (for the
-    // keyed scan) the ascending-position order the index Probe and the
-    // positional strict check both rely on.
-    if (in.op == Op::kDestructure || in.op == Op::kScanRelKeyed) {
-      if (in.imm >= cr.shapes.size()) {
-        std::ostringstream d;
-        d << "shape index " << in.imm << " out of range ("
-          << cr.shapes.size() << " shapes)";
-        bad(pc, d.str());
-      }
-      if (in.naux == 0 || in.naux % 2 != 0) {
-        bad(pc, "fused op without an even, non-empty aux pair list");
-      }
-      size_t limit = AuxCount(cr, in);
-      for (size_t k = 0; k + 1 < limit; k += 2) {
-        uint32_t pos = cr.aux[in.aux + k];
-        if (in.imm < cr.shapes.size() && pos >= cr.shapes[in.imm].size()) {
-          std::ostringstream d;
-          d << "fused field position " << pos
-            << " out of range for the fused shape";
-          bad(pc, d.str());
-        }
-        if (k >= 2 && pos <= cr.aux[in.aux + k - 2]) {
-          bad(pc, "fused field positions not strictly ascending");
-        }
-      }
-      if (in.op == Op::kScanRelKeyed && !in.strict) {
-        bad(pc, "kScanRelKeyed without the strict flag");
-      }
-      if (in.op == Op::kDestructure && in.a < cr.num_regs && defined[in.a] &&
-          NeverTuple(abs[in.a])) {
-        bad(pc, "kDestructure on " + Reg(in.a) +
-                    ", which is statically never a tuple");
-      }
-    }
-    if (in.op == Op::kCmpN && (in.naux == 0 || in.naux % 2 != 0)) {
-      bad(pc, "kCmpN without an even, non-empty register pair list");
     }
 
     // Reads before the def: use-before-def and register ranges.
@@ -380,18 +300,12 @@ std::vector<IlViolation> VerifyRule(const CompiledRule& cr) {
         }
         break;
       case Op::kGetField: {
-        // The VM projects fields unguarded; require a dominating shape
-        // guard on the same register whose shape covers the index:
-        // kMatchTuple or kDestructure on it, or the kScanRelKeyed that
-        // ranges it (its candidates are exact-shape by construction).
+        // The VM projects fields unguarded; require a dominating
+        // kMatchTuple on the same register whose shape covers the index.
         bool guarded = false;
         for (size_t p = pc; p-- > 0;) {
           const Instr& g = cr.code[p];
-          bool guards =
-              ((g.op == Op::kMatchTuple || g.op == Op::kDestructure) &&
-               g.a == in.a) ||
-              (g.op == Op::kScanRelKeyed && g.dst == in.a);
-          if (guards) {
+          if (g.op == Op::kMatchTuple && g.a == in.a) {
             if (g.imm < cr.shapes.size() &&
                 in.imm >= cr.shapes[g.imm].size()) {
               std::ostringstream d;
@@ -424,47 +338,45 @@ std::vector<IlViolation> VerifyRule(const CompiledRule& cr) {
         break;
     }
 
-    // The defs, after the reads (so kDeref r, r with r undefined is
-    // still a use-before-def). kDestructure defines several registers in
-    // one dispatch; each one obeys the SSA single-def rule.
-    AbsVal v;
-    switch (in.op) {
-      case Op::kLoadConst:
-        v.kind = AbsVal::Kind::kConst;
-        v.sym = in.sym;
-        break;
-      case Op::kLoadRel:
-        v.kind = AbsVal::Kind::kRelValue;
-        v.sym = in.sym;
-        break;
-      case Op::kLoadClass:
-        v.kind = AbsVal::Kind::kClassValue;
-        v.sym = in.sym;
-        break;
-      case Op::kMakeTuple:
-        v.kind = AbsVal::Kind::kTuple;
-        v.shape = in.imm;
-        break;
-      case Op::kMakeSet:
-        v.kind = AbsVal::Kind::kSet;
-        break;
-      case Op::kScanRelKeyed:
-        v.kind = AbsVal::Kind::kTuple;
-        v.shape = in.imm;
-        break;
-      default:
-        break;
-    }
-    ForEachDef(cr, pc, [&](uint16_t d) {
+    // The def, after the reads (so kDeref r, r with r undefined is
+    // still a use-before-def).
+    int d = DefOf(in);
+    if (d >= 0) {
       if (d >= cr.num_regs) {
-        bad(pc, "register " + Reg(d) + " out of range");
+        bad(pc, "register " + Reg(static_cast<uint16_t>(d)) +
+                    " out of range");
       } else if (defined[d]) {
-        bad(pc, "register " + Reg(d) + " defined twice");
+        bad(pc, "register " + Reg(static_cast<uint16_t>(d)) +
+                    " defined twice");
       } else {
         defined[d] = true;
-        abs[d] = in.op == Op::kDestructure ? AbsVal{} : v;
+        AbsVal v;
+        switch (in.op) {
+          case Op::kLoadConst:
+            v.kind = AbsVal::Kind::kConst;
+            v.sym = in.sym;
+            break;
+          case Op::kLoadRel:
+            v.kind = AbsVal::Kind::kRelValue;
+            v.sym = in.sym;
+            break;
+          case Op::kLoadClass:
+            v.kind = AbsVal::Kind::kClassValue;
+            v.sym = in.sym;
+            break;
+          case Op::kMakeTuple:
+            v.kind = AbsVal::Kind::kTuple;
+            v.shape = in.imm;
+            break;
+          case Op::kMakeSet:
+            v.kind = AbsVal::Kind::kSet;
+            break;
+          default:
+            break;
+        }
+        abs[d] = v;
       }
-    });
+    }
   }
 
   if (cr.delta_literal != kNoDelta && delta_ops == 0) {

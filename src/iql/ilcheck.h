@@ -35,25 +35,16 @@ namespace iqlkit::il {
 // ---- operand iteration ----------------------------------------------------
 
 // Calls `fn` once per register the instruction at `pc` reads: the a/b
-// operands, kMakeTuple/kMakeSet element registers, scan probe-spec key
+// operands, kMakeTuple/kMakeSet element registers, and scan probe-spec key
 // registers (keys are evaluated before the scan resolves its candidate
-// list, so they count as reads at the scan's pc), kScanRelKeyed key
-// registers, and every kCmpN pair register.
+// list, so they count as reads at the scan's pc).
 void ForEachUse(const CompiledRule& cr, size_t pc,
                 const std::function<void(uint16_t)>& fn);
 
 // The register the instruction defines, or -1: loads, construction,
-// kDeref, kGetField, and scans (kScanRelKeyed included) define `dst`;
-// filters, checks, and kEmit define nothing. kDestructure is the one
-// multi-def opcode and returns -1 here -- iterate its defs with
-// ForEachDef.
+// kDeref, kGetField, and scans define `dst`; filters, checks, and kEmit
+// define nothing.
 int DefOf(const Instr& in);
-
-// Calls `fn` once per register the instruction at `pc` defines. Same as
-// DefOf for every opcode except kDestructure, whose aux odd entries are
-// all destination registers.
-void ForEachDef(const CompiledRule& cr, size_t pc,
-                const std::function<void(uint16_t)>& fn);
 
 // ---- def-use chains -------------------------------------------------------
 

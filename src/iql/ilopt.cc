@@ -16,12 +16,7 @@ bool IsContainerScan(Op op) {
 }
 
 bool IsScan(Op op) {
-  return IsContainerScan(op) || op == Op::kScanDelta ||
-         op == Op::kScanExtent || op == Op::kScanRelKeyed;
-}
-
-bool IsFused(Op op) {
-  return op == Op::kDestructure || op == Op::kScanRelKeyed || op == Op::kCmpN;
+  return IsContainerScan(op) || op == Op::kScanDelta || op == Op::kScanExtent;
 }
 
 // One instruction of the working list: the (operand-rewritten) copy, its
@@ -98,16 +93,6 @@ std::string_view RemoveReasonName(RemoveReason reason) {
 OptResult OptimizeRule(const CompiledRule& cr) {
   OptResult result;
   const uint16_t nregs = cr.num_regs;
-
-  // Fusion is the last pipeline stage: the passes below assume unfused IL
-  // (single-def instructions, symbol-keyed probe specs), so a rule that
-  // already contains fused opcodes passes through untouched.
-  for (const Instr& in : cr.code) {
-    if (IsFused(in.op)) {
-      result.rule = cr;
-      return result;
-    }
-  }
 
   // ---- setup: working copies with unpacked aux payloads -------------------
   std::vector<WorkInstr> work;
@@ -578,183 +563,6 @@ CompiledRule OptimizeForExecution(const CompiledRule& cr) {
   return OptimizeRule(cr).rule;
 }
 
-// ---- superinstruction fusion ----------------------------------------------
-
-namespace {
-
-// One instruction of the fusion working list: the (possibly rewritten)
-// copy plus its unpacked aux payload, kept verbatim -- fusion never
-// renames registers, so payloads repack byte-for-byte at rebuild.
-struct FuseInstr {
-  Instr in;
-  std::vector<uint32_t> payload;
-  bool removed = false;
-};
-
-bool IsFusableEq(const Instr& in) {
-  return in.op == Op::kCmp || (in.op == Op::kCheckEq && in.pol);
-}
-
-}  // namespace
-
-FuseResult FuseRule(const CompiledRule& cr) {
-  FuseResult result;
-
-  std::vector<FuseInstr> work;
-  work.reserve(cr.code.size());
-  for (const Instr& in : cr.code) {
-    FuseInstr f;
-    f.in = in;
-    for (uint32_t k = 0; k < in.naux; ++k) {
-      f.payload.push_back(cr.aux[in.aux + k]);
-    }
-    work.push_back(std::move(f));
-  }
-
-  auto next_live = [&](size_t i) {
-    size_t j = i + 1;
-    while (j < work.size() && work[j].removed) ++j;
-    return j;
-  };
-
-  // ---- pattern 1: strict kScanRel + kMatchTuple guard -> kScanRelKeyed ----
-  // Runs first: it competes with the destructure pattern for the guard,
-  // and absorbing the shape check and the strict key compares into the
-  // scan's candidate loop is the bigger win (per-candidate work, not
-  // per-body work). The probe's (attr, key) pairs become (position in the
-  // guard's shape, key) pairs; shapes are attr-sorted, so ascending
-  // positions keep the derived attr list in index Probe order.
-  for (size_t i = 0; i < work.size(); ++i) {
-    FuseInstr& scan = work[i];
-    if (scan.removed || scan.in.op != Op::kScanRel || !scan.in.strict) {
-      continue;
-    }
-    size_t mi = next_live(i);
-    if (mi >= work.size()) continue;
-    const Instr& match = work[mi].in;
-    if (match.op != Op::kMatchTuple || match.a != scan.in.dst) continue;
-    if (match.imm >= cr.shapes.size()) continue;
-    const std::vector<Symbol>& shape = cr.shapes[match.imm];
-    // A keyed attr missing from the guard's shape means the scan can admit
-    // nothing; leave that verdict to the runtime rather than fuse it away.
-    std::vector<std::pair<uint32_t, uint32_t>> pairs;  // (position, key reg)
-    bool ok = true;
-    for (size_t k = 0; k + 1 < scan.payload.size(); k += 2) {
-      Symbol attr = static_cast<Symbol>(scan.payload[k]);
-      auto it = std::lower_bound(shape.begin(), shape.end(), attr);
-      if (it == shape.end() || *it != attr) {
-        ok = false;
-        break;
-      }
-      pairs.emplace_back(static_cast<uint32_t>(it - shape.begin()),
-                         scan.payload[k + 1]);
-    }
-    if (!ok || pairs.empty()) continue;
-    std::sort(pairs.begin(), pairs.end());
-    scan.in.op = Op::kScanRelKeyed;
-    scan.in.imm = match.imm;
-    scan.payload.clear();
-    for (const auto& [pos, key] : pairs) {
-      scan.payload.push_back(pos);
-      scan.payload.push_back(key);
-    }
-    work[mi].removed = true;
-    ++result.fused_keyed_scans;
-  }
-
-  // ---- pattern 2: kMatchTuple + kGetField* -> kDestructure ----------------
-  // Absorbs every projection of the matched register up to the next scan.
-  // Projections are pure, guarded, and SSA, so executing them at the match
-  // point -- ahead of any interleaved filters -- cannot change an outcome;
-  // stopping at the next scan keeps them out of inner loops.
-  for (size_t i = 0; i < work.size(); ++i) {
-    FuseInstr& m = work[i];
-    if (m.removed || m.in.op != Op::kMatchTuple) continue;
-    if (m.in.imm >= cr.shapes.size()) continue;
-    const size_t nfields = cr.shapes[m.in.imm].size();
-    std::vector<std::pair<uint32_t, uint32_t>> pairs;  // (position, dst reg)
-    std::vector<size_t> absorbed;
-    for (size_t j = i + 1; j < work.size(); ++j) {
-      if (work[j].removed) continue;
-      const Instr& g = work[j].in;
-      if (IsScan(g.op)) break;  // never move a projection across a loop head
-      if (g.op != Op::kGetField || g.a != m.in.a) continue;
-      // Compilation emits fields in ascending order and the optimizer
-      // deduplicates repeats; anything else stays unfused.
-      if (g.imm >= nfields) break;
-      if (!pairs.empty() && g.imm <= pairs.back().first) break;
-      pairs.emplace_back(g.imm, g.dst);
-      absorbed.push_back(j);
-    }
-    if (pairs.empty()) continue;
-    m.in.op = Op::kDestructure;
-    m.payload.clear();
-    for (const auto& [pos, dst] : pairs) {
-      m.payload.push_back(pos);
-      m.payload.push_back(dst);
-    }
-    for (size_t j : absorbed) work[j].removed = true;
-    ++result.fused_destructures;
-  }
-
-  // ---- pattern 3: runs of >= 2 equality filters -> kCmpN ------------------
-  for (size_t i = 0; i < work.size(); ++i) {
-    if (work[i].removed || !IsFusableEq(work[i].in)) continue;
-    std::vector<size_t> run{i};
-    size_t j = i + 1;
-    for (; j < work.size(); ++j) {
-      if (work[j].removed) continue;
-      if (!IsFusableEq(work[j].in)) break;
-      run.push_back(j);
-    }
-    i = run.back();
-    if (run.size() < 2) continue;
-    FuseInstr& head = work[run[0]];
-    head.in.op = Op::kCmpN;
-    head.in.pol = true;
-    head.payload.clear();
-    for (size_t c : run) {
-      head.payload.push_back(work[c].in.a);
-      head.payload.push_back(work[c].in.b);
-      if (c != run[0]) work[c].removed = true;
-    }
-    ++result.fused_cmp_chains;
-  }
-
-  // ---- rebuild: registers untouched, aux repacked -------------------------
-  CompiledRule out;
-  out.shapes = cr.shapes;
-  out.theta = cr.theta;
-  out.num_regs = cr.num_regs;
-  out.delta_literal = cr.delta_literal;
-  for (const FuseInstr& f : work) {
-    if (f.removed) continue;
-    Instr in = f.in;
-    if (!f.payload.empty()) {
-      in.aux = static_cast<uint32_t>(out.aux.size());
-      in.naux = static_cast<uint32_t>(f.payload.size());
-      for (uint32_t v : f.payload) out.aux.push_back(v);
-    } else {
-      in.aux = 0;
-      in.naux = 0;
-    }
-    out.code.push_back(in);
-  }
-  result.rule = std::move(out);
-#ifndef NDEBUG
-  {
-    std::vector<IlViolation> violations = VerifyRule(result.rule);
-    assert(violations.empty() &&
-           "FuseRule produced IL rejected by VerifyRule");
-  }
-#endif
-  return result;
-}
-
-CompiledRule FuseForExecution(const CompiledRule& cr) {
-  return FuseRule(cr).rule;
-}
-
 // ---- L-series lint --------------------------------------------------------
 
 namespace {
@@ -850,11 +658,6 @@ void LintProgramIl(const Program& prog, const SymbolTable& syms,
 
 std::string DumpProgramIl(const Program& prog, const SymbolTable& syms,
                           const TypePool& types, const IlDumpOptions& opts) {
-  auto render = [&](const CompiledRule& cr, const std::string& indent) {
-    CompiledRule staged = opts.optimize ? OptimizeForExecution(cr) : cr;
-    if (opts.fuse) staged = FuseForExecution(staged);
-    return Disassemble(staged, syms, types, indent);
-  };
   std::ostringstream out;
   for (size_t s = 0; s < prog.stages.size(); ++s) {
     out << "stage " << s << ":\n";
@@ -881,7 +684,11 @@ std::string DumpProgramIl(const Program& prog, const SymbolTable& syms,
         out << "    fallback (tree-walk): " << why << "\n";
         continue;
       }
-      out << render(*cr, "    ");
+      if (opts.optimize) {
+        out << Disassemble(OptimizeForExecution(*cr), syms, types, "    ");
+      } else {
+        out << Disassemble(*cr, syms, types, "    ");
+      }
       if (!opts.delta_variants) continue;
       for (size_t d = 0; d < rule.body.size(); ++d) {
         const Literal& lit = rule.body[d];
@@ -899,7 +706,12 @@ std::string DumpProgramIl(const Program& prog, const SymbolTable& syms,
           out << "      fallback (tree-walk): planner bail\n";
           continue;
         }
-        out << render(*dv, "      ");
+        if (opts.optimize) {
+          out << Disassemble(OptimizeForExecution(*dv), syms, types,
+                             "      ");
+        } else {
+          out << Disassemble(*dv, syms, types, "      ");
+        }
       }
     }
   }

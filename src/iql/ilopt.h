@@ -92,53 +92,11 @@ struct OptResult {
 
 // Runs the passes above over one verifier-clean compiled rule. The result
 // is re-verified in debug builds. Idempotent: optimizing the output again
-// removes nothing further. Expects unfused IL: fusion (below) is the last
-// pipeline stage, so a rule already containing fused opcodes is returned
-// unchanged.
+// removes nothing further.
 OptResult OptimizeRule(const CompiledRule& cr);
 
 // The evaluator's entry point: optimize, keep only the rewritten rule.
 CompiledRule OptimizeForExecution(const CompiledRule& cr);
-
-// ---- superinstruction fusion ----------------------------------------------
-//
-// Collapses the hottest straight-line sequences into the fused opcodes of
-// iql/il.h, trading dispatch count for per-op work on the VM's threaded
-// tier:
-//
-//   * kScanRel(strict) + kMatchTuple guard  ->  kScanRelKeyed. The guard's
-//     shape moves into the scan, the strict probe's (attr, key) pairs
-//     become (field position, key) pairs against that shape, and the VM
-//     compares keyed fields positionally -- the strict-probe fast path --
-//     falling back to nothing: a candidate of any other shape simply
-//     fails the fused guard, exactly as it would have failed the match.
-//   * kMatchTuple + kGetField* (every projection of the matched register
-//     up to the next scan)  ->  kDestructure: one shape check plus all
-//     field extractions in a single dispatch. Projections are pure and
-//     guarded, so executing them at the match point is observationally
-//     identical.
-//   * Runs of >= 2 consecutive kCmp / kCheckEq(pol=true)  ->  kCmpN.
-//
-// Fusion never reorders filters relative to scans, never renumbers
-// registers, and never changes which candidates reach kEmit, so outputs
-// stay byte-identical; the engine x dispatch x fusion x threads
-// differential matrix enforces that. Idempotent (fused opcodes are not
-// fusion candidates); the result is re-verified in debug builds.
-
-struct FuseResult {
-  CompiledRule rule;
-  uint32_t fused_keyed_scans = 0;
-  uint32_t fused_destructures = 0;
-  uint32_t fused_cmp_chains = 0;
-};
-
-// Fuses one verifier-clean rule (typically OptimizeRule's output; raw
-// lowerings fuse too, though without strict scans only the destructure
-// and cmp-chain patterns apply).
-FuseResult FuseRule(const CompiledRule& cr);
-
-// The evaluator's entry point: fuse, keep only the rewritten rule.
-CompiledRule FuseForExecution(const CompiledRule& cr);
 
 // ---- L-series lint --------------------------------------------------------
 //
@@ -165,8 +123,6 @@ void LintCompiledRule(const CompiledRule& cr, const Rule& rule,
 struct IlDumpOptions {
   bool optimize = false;        // dump the optimizer's output
   bool delta_variants = false;  // also dump each semi-naive delta variant
-  bool fuse = false;            // dump the fusion pass's output (applied
-                                // after the optimizer when both are set)
 };
 
 // DumpProgramIl with options. Delta variants are dumped for every positive

@@ -6,30 +6,7 @@
 
 #include "model/universe.h"
 
-// Dispatch tier selection. GCC and Clang support labels-as-values, which
-// lets VM_NEXT() replicate the indirect jump at the end of every op body
-// (one branch-history slot per opcode pair, the classic threaded-code
-// win). -DIQLKIT_FORCE_SWITCH_DISPATCH compiles the threaded loop out --
-// the CI dispatch matrix builds both ways -- and unknown compilers fall
-// back automatically; either way the same op bodies run through the
-// switch loop, so the tiers are observationally identical.
-#if defined(__GNUC__) && !defined(IQLKIT_FORCE_SWITCH_DISPATCH)
-#define IQLKIT_THREADED_DISPATCH 1
-#endif
-
 namespace iqlkit::vm {
-
-// The jump table in Solve is written in Op declaration order; anchor the
-// order here so an enum edit cannot silently skew the table.
-static_assert(static_cast<size_t>(il::Op::kLoadConst) == 0 &&
-                  static_cast<size_t>(il::Op::kCheckDelta) == 14 &&
-                  static_cast<size_t>(il::Op::kScanRel) == 15 &&
-                  static_cast<size_t>(il::Op::kEmit) == 20 &&
-                  static_cast<size_t>(il::Op::kDestructure) == 21 &&
-                  static_cast<size_t>(il::Op::kScanRelKeyed) == 22 &&
-                  static_cast<size_t>(il::Op::kCmpN) == 23 &&
-                  il::kNumOps == 24,
-              "the VM jump table tracks the Op declaration order");
 
 PreparedRule PrepareRule(const il::CompiledRule& cr, const Instance& inst,
                          ValueArena& values, bool indexing_enabled) {
@@ -53,8 +30,7 @@ PreparedRule PrepareRule(const il::CompiledRule& cr, const Instance& inst,
         e.has_value = true;
         break;
       }
-      case il::Op::kScanRel:
-      case il::Op::kScanRelKeyed: {
+      case il::Op::kScanRel: {
         // With an index the scan borrows the index's candidate list; only
         // the index-off materialized copy is worth caching.
         if (indexing_enabled) break;
@@ -90,10 +66,10 @@ VmSolver::VmSolver(const il::CompiledRule& cr, const Instance& inst,
       membership_(&inst.universe()->types(), ctx.values, &inst) {
   assert(ctx.prepared == nullptr ||
          ctx.prepared->at.size() == cr.code.size());
-  // Positional strict-probe fast path: an unfused strict scan is always
-  // followed by its kMatchTuple guard (the optimizer's filter sinking
-  // requires it and the rebuild keeps them adjacent), so the guard's
-  // shape pins where each keyed attr sits in a well-shaped candidate.
+  // Positional strict-probe fast path: a strict scan is always followed by
+  // its kMatchTuple guard (the optimizer's filter sinking requires it and
+  // the rebuild keeps them adjacent), so the guard's shape pins where each
+  // keyed attr sits in a well-shaped candidate.
   strict_pos_.assign(cr.code.size(), StrictPos{});
   for (size_t pc = 0; pc + 1 < cr.code.size(); ++pc) {
     const il::Instr& sin = cr.code[pc];
@@ -125,32 +101,6 @@ VmSolver::VmSolver(const il::CompiledRule& cr, const Instance& inst,
   }
 }
 
-// Advance to the next instruction (or backtrack on failure). In the
-// threaded tier this replicates the indirect dispatch at every use site;
-// otherwise (or when the run asked for the switch tier) it funnels into
-// the shared switch dispatcher.
-#ifdef IQLKIT_THREADED_DISPATCH
-#define VM_NEXT()                                        \
-  do {                                                   \
-    if (fail) goto backtrack;                            \
-    ++pc;                                                \
-    if (threaded) {                                      \
-      in = &code[pc];                                    \
-      fail = false;                                      \
-      ++dispatched;                                      \
-      goto* kJumpTable[static_cast<size_t>(in->op)];     \
-    }                                                    \
-    goto dispatch_switch;                                \
-  } while (0)
-#else
-#define VM_NEXT()             \
-  do {                        \
-    if (fail) goto backtrack; \
-    ++pc;                     \
-    goto dispatch_switch;     \
-  } while (0)
-#endif
-
 Status VmSolver::Solve(const Callback& cb) {
   const std::vector<il::Instr>& code = cr_.code;
   ValueArena& values = *ctx_.values;
@@ -159,25 +109,17 @@ Status VmSolver::Solve(const Callback& cb) {
   frames_.clear();
   at_first_branch_ = true;
 
-  // Dispatched-instruction counts, accumulated locally and flushed once
-  // on every exit path (including the early returns the error macros
-  // expand to) by the guard's destructor. Fused ops add their absorbed
-  // constituents to `dispatched` along the executed path, keeping
-  // vm_instructions comparable across il_fuse; `fused_dispatched` is the
-  // exact count of fused-op dispatches.
+  // Dispatched-instruction count, accumulated locally and flushed once on
+  // every exit path (including the early returns the error macros expand
+  // to) by the guard's destructor.
   uint64_t dispatched = 0;
-  uint64_t fused_dispatched = 0;
   struct Flusher {
     const uint64_t& count;
-    const uint64_t& fused;
     RuleMetrics* metrics;
     ~Flusher() {
-      if (metrics != nullptr) {
-        metrics->vm_instructions += count;
-        metrics->vm_fused_dispatches += fused;
-      }
+      if (metrics != nullptr) metrics->vm_instructions += count;
     }
-  } flusher{dispatched, fused_dispatched, ctx_.rule_metrics};
+  } flusher{dispatched, ctx_.rule_metrics};
 
   // A strict scan (Instr::strict, set by the IL optimizer's filter
   // sinking) admits only candidates whose keyed fields equal the key
@@ -225,485 +167,299 @@ Status VmSolver::Solve(const Callback& cb) {
     }
     return true;
   };
-  // kScanRelKeyed's admission check: the absorbed kMatchTuple guard
-  // (exact shape), then keyed fields by position. A candidate of any
-  // other shape is refused here exactly as the guard would have refused
-  // it one dispatch later.
-  auto keyed_ok = [&](const il::Instr& sin, ValueId cand) {
-    const ValueNode& n = values.node(cand);
-    const std::vector<Symbol>& shape = cr_.shapes[sin.imm];
-    if (n.kind != ValueKind::kTuple || n.fields.size() != shape.size()) {
-      return false;
-    }
-    for (size_t k = 0; k < shape.size(); ++k) {
-      if (n.fields[k].first != shape[k]) return false;
-    }
-    for (uint32_t k = 0; k + 1 < sin.naux; k += 2) {
-      if (n.fields[cr_.aux[sin.aux + k]].second !=
-          regs_[cr_.aux[sin.aux + k + 1]]) {
-        return false;
-      }
-    }
-    return true;
-  };
-  auto admit = [&](const il::Instr& sin, size_t spc, ValueId cand) {
-    return sin.op == il::Op::kScanRelKeyed ? keyed_ok(sin, cand)
-                                           : strict_ok(sin, spc, cand);
-  };
   auto frame_elem = [](const Frame& f, size_t i) {
     return (f.elems != nullptr) ? (*f.elems)[i] : f.owned[i];
   };
 
-#ifdef IQLKIT_THREADED_DISPATCH
-  // Computed-goto jump table, in exact Op declaration order (anchored by
-  // the file-scope static_assert); the five unfused scans share one body.
-  static const void* const kJumpTable[] = {
-      &&op_load_const, &&op_load_rel,    &&op_load_class,
-      &&op_deref,      &&op_get_field,   &&op_make_tuple,
-      &&op_make_set,   &&op_match_tuple, &&op_bind_type,
-      &&op_cmp,        &&op_check_rel,   &&op_check_class,
-      &&op_check_in,   &&op_check_eq,    &&op_check_delta,
-      &&op_scan,       &&op_scan,        &&op_scan,
-      &&op_scan,       &&op_scan,        &&op_emit,
-      &&op_destructure, &&op_scan_rel_keyed, &&op_cmp_n,
-  };
-  static_assert(sizeof(kJumpTable) / sizeof(kJumpTable[0]) == il::kNumOps,
-                "jump table must cover every opcode");
-  const bool threaded = ctx_.threaded;
-#endif
-
   size_t pc = 0;
-  const il::Instr* in = nullptr;
-  bool fail = false;
-  Frame f;  // scan-resolution workspace, committed into frames_
-  bool present = true;
-
-#ifdef IQLKIT_THREADED_DISPATCH
-  if (threaded) {
-    in = &code[pc];
-    fail = false;
+  for (;;) {
+    const il::Instr& in = code[pc];
+    bool fail = false;
     ++dispatched;
-    goto* kJumpTable[static_cast<size_t>(in->op)];
-  }
-#endif
-dispatch_switch:
-  in = &code[pc];
-  fail = false;
-  ++dispatched;
-  switch (in->op) {
-    case il::Op::kLoadConst: goto op_load_const;
-    case il::Op::kLoadRel: goto op_load_rel;
-    case il::Op::kLoadClass: goto op_load_class;
-    case il::Op::kDeref: goto op_deref;
-    case il::Op::kGetField: goto op_get_field;
-    case il::Op::kMakeTuple: goto op_make_tuple;
-    case il::Op::kMakeSet: goto op_make_set;
-    case il::Op::kMatchTuple: goto op_match_tuple;
-    case il::Op::kBindType: goto op_bind_type;
-    case il::Op::kCmp: goto op_cmp;
-    case il::Op::kCheckRel: goto op_check_rel;
-    case il::Op::kCheckClass: goto op_check_class;
-    case il::Op::kCheckIn: goto op_check_in;
-    case il::Op::kCheckEq: goto op_check_eq;
-    case il::Op::kCheckDelta: goto op_check_delta;
-    case il::Op::kScanRel:
-    case il::Op::kScanClass:
-    case il::Op::kScanSet:
-    case il::Op::kScanDelta:
-    case il::Op::kScanExtent: goto op_scan;
-    case il::Op::kEmit: goto op_emit;
-    case il::Op::kDestructure: goto op_destructure;
-    case il::Op::kScanRelKeyed: goto op_scan_rel_keyed;
-    case il::Op::kCmpN: goto op_cmp_n;
-  }
-  // The switch is exhaustive over Op; not reached.
-  fail = true;
-  VM_NEXT();
-
-op_load_const: {
-  regs_[in->dst] = values.ConstSymbol(in->sym);
-  VM_NEXT();
-}
-op_load_rel: {
-  if (prepared != nullptr && prepared->at[pc].has_value) {
-    regs_[in->dst] = prepared->at[pc].value;
-  } else {
-    const ValueIdSet& tuples = inst_.Relation(in->sym);
-    regs_[in->dst] =
-        values.Set(std::vector<ValueId>(tuples.begin(), tuples.end()));
-  }
-  VM_NEXT();
-}
-op_load_class: {
-  if (prepared != nullptr && prepared->at[pc].has_value) {
-    regs_[in->dst] = prepared->at[pc].value;
-  } else {
-    std::vector<ValueId> oids;
-    for (Oid o : inst_.ClassExtent(in->sym)) oids.push_back(values.OfOid(o));
-    regs_[in->dst] = values.Set(std::move(oids));
-  }
-  VM_NEXT();
-}
-op_deref: {
-  const ValueNode& n = values.node(regs_[in->a]);
-  if (n.kind != ValueKind::kOid) {
-    fail = true;
-  } else {
-    std::optional<ValueId> v = inst_.ValueOf(n.oid);
-    if (!v.has_value()) {
-      fail = true;  // nu undefined, as EvalTerm's nullopt
-    } else {
-      regs_[in->dst] = *v;
-    }
-  }
-  VM_NEXT();
-}
-op_get_field: {
-  // Guarded by a dominating kMatchTuple / kDestructure / kScanRelKeyed.
-  regs_[in->dst] = values.node(regs_[in->a]).fields[in->imm].second;
-  VM_NEXT();
-}
-op_make_tuple: {
-  const std::vector<Symbol>& shape = cr_.shapes[in->imm];
-  std::vector<std::pair<Symbol, ValueId>> fields;
-  fields.reserve(in->naux);
-  for (uint32_t k = 0; k < in->naux; ++k) {
-    fields.emplace_back(shape[k], regs_[cr_.aux[in->aux + k]]);
-  }
-  regs_[in->dst] = values.Tuple(std::move(fields));
-  VM_NEXT();
-}
-op_make_set: {
-  std::vector<ValueId> elems;
-  elems.reserve(in->naux);
-  for (uint32_t k = 0; k < in->naux; ++k) {
-    elems.push_back(regs_[cr_.aux[in->aux + k]]);
-  }
-  regs_[in->dst] = values.Set(std::move(elems));
-  VM_NEXT();
-}
-op_match_tuple: {
-  const ValueNode& n = values.node(regs_[in->a]);
-  const std::vector<Symbol>& shape = cr_.shapes[in->imm];
-  if (n.kind != ValueKind::kTuple || n.fields.size() != shape.size()) {
-    fail = true;
-  } else {
-    for (size_t k = 0; k < shape.size(); ++k) {
-      if (n.fields[k].first != shape[k]) {
-        fail = true;
+    switch (in.op) {
+      case il::Op::kLoadConst:
+        regs_[in.dst] = values.ConstSymbol(in.sym);
         break;
-      }
-    }
-  }
-  VM_NEXT();
-}
-op_bind_type: {
-  fail = !membership_.Contains(static_cast<TypeId>(in->imm), regs_[in->a]);
-  VM_NEXT();
-}
-op_cmp: {
-  fail = regs_[in->a] != regs_[in->b];
-  VM_NEXT();
-}
-op_check_rel: {
-  // A side-store id is structurally new, hence never in a shared
-  // relation extent; otherwise raw-id membership is structural.
-  ValueId v = regs_[in->b];
-  bool contains = !values.IsSide(v) && inst_.RelationContains(in->sym, v);
-  fail = contains != in->pol;
-  VM_NEXT();
-}
-op_check_class: {
-  // No side shortcut here: a side OfOid value is structurally equal
-  // to the shared one for the same oid.
-  const ValueNode& n = values.node(regs_[in->b]);
-  bool contains =
-      n.kind == ValueKind::kOid && inst_.OidInClass(n.oid, in->sym);
-  fail = contains != in->pol;
-  VM_NEXT();
-}
-op_check_in: {
-  const ValueNode& n = values.node(regs_[in->a]);
-  if (n.kind != ValueKind::kSet) {
-    fail = true;  // non-set lhs fails either polarity (mirror Check)
-  } else {
-    fail = values.ElemsContain(n.elems, regs_[in->b]) != in->pol;
-  }
-  VM_NEXT();
-}
-op_check_eq: {
-  fail = (regs_[in->a] == regs_[in->b]) != in->pol;
-  VM_NEXT();
-}
-op_check_delta: {
-  fail = delta_facts_ == nullptr ||
-         !std::binary_search(delta_facts_->begin(), delta_facts_->end(),
-                             regs_[in->b]);
-  VM_NEXT();
-}
-
-op_scan: {
-  // Resolve the candidate list: delta facts, an extent, an index probe
-  // or scan, a prepared list, or a materialized copy when indexing is
-  // off. `present` distinguishes an unresolved list -- a probe that
-  // missed every bucket, or a non-set container -- from a resolved but
-  // empty one: only a resolved list consumes the first-branch
-  // probe/slice state, exactly as in GenerateMembership.
-  f = Frame();
-  f.pc = static_cast<uint32_t>(pc);
-  f.dst = in->dst;
-  present = true;
-  if (in->op == il::Op::kScanDelta) {
-    if (delta_facts_ == nullptr) {
-      present = false;
-    } else {
-      f.elems = delta_facts_;
-    }
-  } else if (in->op == il::Op::kScanExtent) {
-    auto extent = ctx_.extents->Enumerate(static_cast<TypeId>(in->imm));
-    if (!extent.ok()) return extent.status();
-    f.elems = *extent;
-  } else if (in->op == il::Op::kScanSet &&
-             values.node(regs_[in->a]).kind != ValueKind::kSet) {
-    present = false;  // the tree-walker's "impossible" container
-  } else {
-    RelationIndex::Container c;
-    if (in->op == il::Op::kScanRel) {
-      c = RelationIndex::Container::Relation(in->sym);
-    } else if (in->op == il::Op::kScanClass) {
-      c = RelationIndex::Container::Class(in->sym);
-    } else {
-      c = RelationIndex::Container::SetValue(regs_[in->a]);
-    }
-    if (ctx_.index != nullptr && in->naux > 0) {
-      std::vector<Symbol> attrs;
-      std::vector<ValueId> key;
-      attrs.reserve(in->naux / 2);
-      key.reserve(in->naux / 2);
-      for (uint32_t k = 0; k + 1 < in->naux; k += 2) {
-        attrs.push_back(static_cast<Symbol>(cr_.aux[in->aux + k]));
-        key.push_back(regs_[cr_.aux[in->aux + k + 1]]);
-      }
-      const std::vector<ValueId>* bucket = ctx_.index->Probe(c, attrs, key);
-      if (ctx_.rule_metrics != nullptr) {
-        ++ctx_.rule_metrics->index_probes;
-      }
-      if (bucket == nullptr) {
-        present = false;
-      } else {
-        f.elems = bucket;
-      }
-    } else if (ctx_.index != nullptr) {
-      f.elems = &ctx_.index->Elems(c);
-      if (ctx_.rule_metrics != nullptr) {
-        ++ctx_.rule_metrics->index_scans;
-      }
-    } else {
-      // No index: a prepared candidate list when the coordinator built
-      // one, else materialize a private copy, as the tree-walker's
-      // ContainerElems does per generator visit.
-      if (prepared != nullptr && prepared->at[pc].has_elems) {
-        f.elems = &prepared->at[pc].elems;
-      } else if (in->op == il::Op::kScanRel) {
-        const ValueIdSet& tuples = inst_.Relation(in->sym);
-        f.owned.assign(tuples.begin(), tuples.end());
-      } else if (in->op == il::Op::kScanClass) {
-        for (Oid o : inst_.ClassExtent(in->sym)) {
-          f.owned.push_back(values.OfOid(o));
+      case il::Op::kLoadRel:
+        if (prepared != nullptr && prepared->at[pc].has_value) {
+          regs_[in.dst] = prepared->at[pc].value;
+        } else {
+          const ValueIdSet& tuples = inst_.Relation(in.sym);
+          regs_[in.dst] =
+              values.Set(std::vector<ValueId>(tuples.begin(), tuples.end()));
         }
-      } else {
-        f.owned = values.node(regs_[in->a]).elems;
+        break;
+      case il::Op::kLoadClass:
+        if (prepared != nullptr && prepared->at[pc].has_value) {
+          regs_[in.dst] = prepared->at[pc].value;
+        } else {
+          std::vector<ValueId> oids;
+          for (Oid o : inst_.ClassExtent(in.sym)) {
+            oids.push_back(values.OfOid(o));
+          }
+          regs_[in.dst] = values.Set(std::move(oids));
+        }
+        break;
+      case il::Op::kDeref: {
+        const ValueNode& n = values.node(regs_[in.a]);
+        if (n.kind != ValueKind::kOid) {
+          fail = true;
+          break;
+        }
+        std::optional<ValueId> v = inst_.ValueOf(n.oid);
+        if (!v.has_value()) {
+          fail = true;  // nu undefined, as EvalTerm's nullopt
+          break;
+        }
+        regs_[in.dst] = *v;
+        break;
       }
-      if (ctx_.rule_metrics != nullptr) {
-        ++ctx_.rule_metrics->index_scans;
+      case il::Op::kGetField:
+        // Guarded by a dominating kMatchTuple (VerifyRule enforces it).
+        regs_[in.dst] = values.node(regs_[in.a]).fields[in.imm].second;
+        break;
+      case il::Op::kMakeTuple: {
+        const std::vector<Symbol>& shape = cr_.shapes[in.imm];
+        std::vector<std::pair<Symbol, ValueId>> fields;
+        fields.reserve(in.naux);
+        for (uint32_t k = 0; k < in.naux; ++k) {
+          fields.emplace_back(shape[k], regs_[cr_.aux[in.aux + k]]);
+        }
+        regs_[in.dst] = values.Tuple(std::move(fields));
+        break;
       }
-    }
-  }
-  goto scan_commit;
-}
-
-op_scan_rel_keyed: {
-  // Fused strict kScanRel: candidates are exactly shapes[imm] tuples
-  // whose keyed fields (by position) equal the key registers; keyed_ok
-  // checks the absorbed guard per candidate.
-  ++fused_dispatched;
-  f = Frame();
-  f.pc = static_cast<uint32_t>(pc);
-  f.dst = in->dst;
-  present = true;
-  if (ctx_.index != nullptr) {
-    // Probe on the attrs the positions name: the shape is attr-sorted,
-    // so ascending positions give the Probe order's ascending attrs.
-    RelationIndex::Container c = RelationIndex::Container::Relation(in->sym);
-    const std::vector<Symbol>& shape = cr_.shapes[in->imm];
-    std::vector<Symbol> attrs;
-    std::vector<ValueId> key;
-    attrs.reserve(in->naux / 2);
-    key.reserve(in->naux / 2);
-    for (uint32_t k = 0; k + 1 < in->naux; k += 2) {
-      attrs.push_back(shape[cr_.aux[in->aux + k]]);
-      key.push_back(regs_[cr_.aux[in->aux + k + 1]]);
-    }
-    const std::vector<ValueId>* bucket = ctx_.index->Probe(c, attrs, key);
-    if (ctx_.rule_metrics != nullptr) {
-      ++ctx_.rule_metrics->index_probes;
-    }
-    if (bucket == nullptr) {
-      present = false;
-    } else {
-      f.elems = bucket;
-    }
-  } else {
-    if (prepared != nullptr && prepared->at[pc].has_elems) {
-      f.elems = &prepared->at[pc].elems;
-    } else {
-      const ValueIdSet& tuples = inst_.Relation(in->sym);
-      f.owned.assign(tuples.begin(), tuples.end());
-    }
-    if (ctx_.rule_metrics != nullptr) {
-      ++ctx_.rule_metrics->index_scans;
-    }
-  }
-  goto scan_commit;
-}
-
-scan_commit: {
-  size_t lo = 0;
-  size_t hi = 0;
-  if (present) {
-    hi = (f.elems != nullptr) ? f.elems->size() : f.owned.size();
-    // The first executed scan is the parallel partition point: report
-    // its width in probe mode, or clamp to this worker's slice of the
-    // candidates.
-    if (at_first_branch_) {
-      at_first_branch_ = false;
-      if (probe_width_ != nullptr) {
-        *probe_width_ = hi;
-        return Status::Ok();
+      case il::Op::kMakeSet: {
+        std::vector<ValueId> elems;
+        elems.reserve(in.naux);
+        for (uint32_t k = 0; k < in.naux; ++k) {
+          elems.push_back(regs_[cr_.aux[in.aux + k]]);
+        }
+        regs_[in.dst] = values.Set(std::move(elems));
+        break;
       }
-      lo = std::min(slice_begin_, hi);
-      hi = std::min(slice_end_, hi);
-    }
-  }
-  f.idx = lo;
-  f.end = hi;
-  // Strict skip is lazy and runs AFTER the probe/slice bookkeeping: the
-  // parallel protocol reports and partitions the unfiltered candidate
-  // list, so optimized probe and slice runs agree.
-  if (in->strict) {
-    while (f.idx < f.end && !admit(*in, pc, frame_elem(f, f.idx))) {
-      ++f.idx;
-    }
-  }
-  if (f.idx >= f.end) {
-    fail = true;
-    VM_NEXT();
-  }
-  frames_.push_back(std::move(f));
-  f = Frame();  // normalize the moved-from workspace
-  // An admitted keyed-scan candidate passed the absorbed guard: count the
-  // kMatchTuple dispatch the unfused tier would have retired.
-  if (in->op == il::Op::kScanRelKeyed) ++dispatched;
-  // Poll once per *admitted* candidate, as the tree-walker does per
-  // generator visit; strictly-skipped candidates are not poll points,
-  // which only coarsens cancellation granularity.
-  if (ctx_.governor != nullptr) {
-    IQL_RETURN_IF_ERROR(ctx_.governor->Poll());
-  }
-  {
-    const Frame& top = frames_.back();
-    regs_[top.dst] =
-        (top.elems != nullptr) ? (*top.elems)[top.idx] : top.owned[top.idx];
-  }
-  VM_NEXT();
-}
+      case il::Op::kMatchTuple: {
+        const ValueNode& n = values.node(regs_[in.a]);
+        const std::vector<Symbol>& shape = cr_.shapes[in.imm];
+        if (n.kind != ValueKind::kTuple || n.fields.size() != shape.size()) {
+          fail = true;
+          break;
+        }
+        for (size_t k = 0; k < shape.size(); ++k) {
+          if (n.fields[k].first != shape[k]) {
+            fail = true;
+            break;
+          }
+        }
+        break;
+      }
+      case il::Op::kBindType:
+        fail = !membership_.Contains(static_cast<TypeId>(in.imm), regs_[in.a]);
+        break;
+      case il::Op::kCmp:
+        fail = regs_[in.a] != regs_[in.b];
+        break;
+      case il::Op::kCheckRel: {
+        // A side-store id is structurally new, hence never in a shared
+        // relation extent; otherwise raw-id membership is structural.
+        ValueId v = regs_[in.b];
+        bool contains = !values.IsSide(v) && inst_.RelationContains(in.sym, v);
+        fail = contains != in.pol;
+        break;
+      }
+      case il::Op::kCheckClass: {
+        // No side shortcut here: a side OfOid value is structurally equal
+        // to the shared one for the same oid.
+        const ValueNode& n = values.node(regs_[in.b]);
+        bool contains =
+            n.kind == ValueKind::kOid && inst_.OidInClass(n.oid, in.sym);
+        fail = contains != in.pol;
+        break;
+      }
+      case il::Op::kCheckIn: {
+        const ValueNode& n = values.node(regs_[in.a]);
+        if (n.kind != ValueKind::kSet) {
+          fail = true;  // non-set lhs fails either polarity (mirror Check)
+          break;
+        }
+        fail = values.ElemsContain(n.elems, regs_[in.b]) != in.pol;
+        break;
+      }
+      case il::Op::kCheckEq:
+        fail = (regs_[in.a] == regs_[in.b]) != in.pol;
+        break;
+      case il::Op::kCheckDelta:
+        fail = delta_facts_ == nullptr ||
+               !std::binary_search(delta_facts_->begin(), delta_facts_->end(),
+                                   regs_[in.b]);
+        break;
 
-op_emit: {
-  theta_.clear();
-  for (const auto& [var, r] : cr_.theta) {
-    theta_.emplace_hint(theta_.end(), var, regs_[r]);
-  }
-  IQL_RETURN_IF_ERROR(cb(theta_));
-  fail = true;  // backtrack into the next valuation
-  VM_NEXT();
-}
+      case il::Op::kScanRel:
+      case il::Op::kScanClass:
+      case il::Op::kScanSet:
+      case il::Op::kScanDelta:
+      case il::Op::kScanExtent: {
+        // Resolve the candidate list: delta facts, an extent, an index
+        // probe or scan, a prepared list, or a materialized copy when
+        // indexing is off. `present` distinguishes an unresolved list --
+        // a probe that missed every bucket, or a non-set container --
+        // from a resolved but empty one: only a resolved list consumes
+        // the first-branch probe/slice state, exactly as in
+        // GenerateMembership.
+        Frame f;
+        f.pc = static_cast<uint32_t>(pc);
+        f.dst = in.dst;
+        bool present = true;
+        if (in.op == il::Op::kScanDelta) {
+          if (delta_facts_ == nullptr) {
+            present = false;
+          } else {
+            f.elems = delta_facts_;
+          }
+        } else if (in.op == il::Op::kScanExtent) {
+          auto extent = ctx_.extents->Enumerate(static_cast<TypeId>(in.imm));
+          if (!extent.ok()) return extent.status();
+          f.elems = *extent;
+        } else if (in.op == il::Op::kScanSet &&
+                   values.node(regs_[in.a]).kind != ValueKind::kSet) {
+          present = false;  // the tree-walker's "impossible" container
+        } else {
+          RelationIndex::Container c;
+          if (in.op == il::Op::kScanRel) {
+            c = RelationIndex::Container::Relation(in.sym);
+          } else if (in.op == il::Op::kScanClass) {
+            c = RelationIndex::Container::Class(in.sym);
+          } else {
+            c = RelationIndex::Container::SetValue(regs_[in.a]);
+          }
+          if (ctx_.index != nullptr && in.naux > 0) {
+            std::vector<Symbol> attrs;
+            std::vector<ValueId> key;
+            attrs.reserve(in.naux / 2);
+            key.reserve(in.naux / 2);
+            for (uint32_t k = 0; k + 1 < in.naux; k += 2) {
+              attrs.push_back(static_cast<Symbol>(cr_.aux[in.aux + k]));
+              key.push_back(regs_[cr_.aux[in.aux + k + 1]]);
+            }
+            const std::vector<ValueId>* bucket =
+                ctx_.index->Probe(c, attrs, key);
+            if (ctx_.rule_metrics != nullptr) {
+              ++ctx_.rule_metrics->index_probes;
+            }
+            if (bucket == nullptr) {
+              present = false;
+            } else {
+              f.elems = bucket;
+            }
+          } else if (ctx_.index != nullptr) {
+            f.elems = &ctx_.index->Elems(c);
+            if (ctx_.rule_metrics != nullptr) {
+              ++ctx_.rule_metrics->index_scans;
+            }
+          } else {
+            // No index: a prepared candidate list when the coordinator
+            // built one, else materialize a private copy, as the
+            // tree-walker's ContainerElems does per generator visit.
+            if (prepared != nullptr && prepared->at[pc].has_elems) {
+              f.elems = &prepared->at[pc].elems;
+            } else if (in.op == il::Op::kScanRel) {
+              const ValueIdSet& tuples = inst_.Relation(in.sym);
+              f.owned.assign(tuples.begin(), tuples.end());
+            } else if (in.op == il::Op::kScanClass) {
+              for (Oid o : inst_.ClassExtent(in.sym)) {
+                f.owned.push_back(values.OfOid(o));
+              }
+            } else {
+              f.owned = values.node(regs_[in.a]).elems;
+            }
+            if (ctx_.rule_metrics != nullptr) {
+              ++ctx_.rule_metrics->index_scans;
+            }
+          }
+        }
+        size_t lo = 0;
+        size_t hi = 0;
+        if (present) {
+          hi = (f.elems != nullptr) ? f.elems->size() : f.owned.size();
+          // The first executed scan is the parallel partition point:
+          // report its width in probe mode, or clamp to this worker's
+          // slice of the candidates.
+          if (at_first_branch_) {
+            at_first_branch_ = false;
+            if (probe_width_ != nullptr) {
+              *probe_width_ = hi;
+              return Status::Ok();
+            }
+            lo = std::min(slice_begin_, hi);
+            hi = std::min(slice_end_, hi);
+          }
+        }
+        f.idx = lo;
+        f.end = hi;
+        // Strict skip is lazy and runs AFTER the probe/slice bookkeeping:
+        // the parallel protocol reports and partitions the unfiltered
+        // candidate list, so optimized probe and slice runs agree.
+        if (in.strict) {
+          while (f.idx < f.end && !strict_ok(in, pc, frame_elem(f, f.idx))) {
+            ++f.idx;
+          }
+        }
+        if (f.idx >= f.end) {
+          fail = true;
+          break;
+        }
+        frames_.push_back(std::move(f));
+        // Poll once per *admitted* candidate, as the tree-walker does per
+        // generator visit; strictly-skipped candidates are not poll
+        // points, which only coarsens cancellation granularity.
+        if (ctx_.governor != nullptr) {
+          IQL_RETURN_IF_ERROR(ctx_.governor->Poll());
+        }
+        const Frame& top = frames_.back();
+        regs_[top.dst] = frame_elem(top, top.idx);
+        break;
+      }
 
-op_destructure: {
-  // The absorbed kMatchTuple guard, then every absorbed kGetField, in
-  // one dispatch.
-  ++fused_dispatched;
-  const ValueNode& n = values.node(regs_[in->a]);
-  const std::vector<Symbol>& shape = cr_.shapes[in->imm];
-  if (n.kind != ValueKind::kTuple || n.fields.size() != shape.size()) {
-    fail = true;
-  } else {
-    for (size_t k = 0; k < shape.size(); ++k) {
-      if (n.fields[k].first != shape[k]) {
-        fail = true;
+      case il::Op::kEmit: {
+        theta_.clear();
+        for (const auto& [var, r] : cr_.theta) {
+          theta_.emplace_hint(theta_.end(), var, regs_[r]);
+        }
+        IQL_RETURN_IF_ERROR(cb(theta_));
+        fail = true;  // backtrack into the next valuation
         break;
       }
     }
-  }
-  if (!fail) {
-    for (uint32_t k = 0; k + 1 < in->naux; k += 2) {
-      regs_[cr_.aux[in->aux + k + 1]] = n.fields[cr_.aux[in->aux + k]].second;
-    }
-    dispatched += in->naux / 2;  // the absorbed kGetFields
-  }
-  VM_NEXT();
-}
 
-op_cmp_n: {
-  // A fused equality run: FAIL on the first unequal pair. Constituent
-  // accounting adds every pair checked, inclusive of the failing one;
-  // the dispatch itself already counted the first.
-  ++fused_dispatched;
-  uint32_t k = 0;
-  for (; k + 1 < in->naux; k += 2) {
-    if (regs_[cr_.aux[in->aux + k]] != regs_[cr_.aux[in->aux + k + 1]]) {
-      fail = true;
+    if (!fail) {
+      ++pc;
+      continue;
+    }
+    // Backtrack: advance the innermost open scan, or finish. The resumed
+    // instruction is counted by the next loop iteration's dispatch, not
+    // here.
+    for (;;) {
+      if (frames_.empty()) return Status::Ok();
+      Frame& fr = frames_.back();
+      const il::Instr& sin = code[fr.pc];
+      ++fr.idx;
+      if (sin.strict) {
+        while (fr.idx < fr.end &&
+               !strict_ok(sin, fr.pc, frame_elem(fr, fr.idx))) {
+          ++fr.idx;
+        }
+      }
+      if (fr.idx >= fr.end) {
+        frames_.pop_back();
+        continue;
+      }
+      if (ctx_.governor != nullptr) {
+        IQL_RETURN_IF_ERROR(ctx_.governor->Poll());
+      }
+      regs_[fr.dst] = frame_elem(fr, fr.idx);
+      pc = fr.pc + 1;
       break;
     }
   }
-  dispatched += (fail ? k / 2 + 1 : in->naux / 2) - 1;
-  VM_NEXT();
 }
-
-backtrack:
-  // Backtrack: advance the innermost open scan, or finish.
-  for (;;) {
-    if (frames_.empty()) return Status::Ok();
-    Frame& fr = frames_.back();
-    const il::Instr& sin = code[fr.pc];
-    ++fr.idx;
-    if (sin.strict) {
-      while (fr.idx < fr.end && !admit(sin, fr.pc, frame_elem(fr, fr.idx))) {
-        ++fr.idx;
-      }
-    }
-    if (fr.idx >= fr.end) {
-      frames_.pop_back();
-      continue;
-    }
-    if (sin.op == il::Op::kScanRelKeyed) ++dispatched;  // the absorbed guard
-    if (ctx_.governor != nullptr) {
-      IQL_RETURN_IF_ERROR(ctx_.governor->Poll());
-    }
-    regs_[fr.dst] =
-        (fr.elems != nullptr) ? (*fr.elems)[fr.idx] : fr.owned[fr.idx];
-    pc = fr.pc + 1;
-#ifdef IQLKIT_THREADED_DISPATCH
-    if (threaded) {
-      in = &code[pc];
-      fail = false;
-      ++dispatched;
-      goto* kJumpTable[static_cast<size_t>(in->op)];
-    }
-#endif
-    goto dispatch_switch;
-  }
-}
-
-#undef VM_NEXT
 
 }  // namespace iqlkit::vm

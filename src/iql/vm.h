@@ -70,10 +70,6 @@ struct VmContext {
   // Prepared state for the executed rule (must match it pc for pc), or
   // null to materialize per call.
   const PreparedRule* prepared = nullptr;
-  // Use the computed-goto dispatch loop when the build has it (GCC/Clang
-  // without IQLKIT_FORCE_SWITCH_DISPATCH); ignored -- the switch loop
-  // runs -- when it was compiled out. Same op bodies either way.
-  bool threaded = true;
 };
 
 class VmSolver {

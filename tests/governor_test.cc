@@ -427,7 +427,7 @@ std::string ChainTc(int n) {
   return source.str();
 }
 
-EvalOptions VmOptions(bool seminaive, uint32_t threads) {
+EvalOptions VmModeOptions(bool seminaive, uint32_t threads) {
   EvalOptions options = ModeOptions(seminaive, threads);
   options.engine = EvalOptions::Engine::kVm;
   return options;
@@ -447,23 +447,18 @@ TEST(GovernorTest, VmStepTripMatchesTreeWalkerPartial) {
     ASSERT_FALSE(tw.facts.empty()) << mode.name;
 
     // The IL optimizer only skips candidates that provably fail a filter,
-    // and fusion only collapses dispatches around the same candidate walk,
-    // so committed steps stay bit-identical with either (or both) on.
-    for (auto [il_opt, il_fuse] :
-         {std::pair{false, false}, {true, false}, {true, true}}) {
-      EvalOptions vm = VmOptions(mode.seminaive, mode.threads);
+    // so committed steps stay bit-identical with it on as well.
+    for (bool il_opt : {false, true}) {
+      EvalOptions vm = VmModeOptions(mode.seminaive, mode.threads);
       vm.il_opt = il_opt;
-      vm.il_fuse = il_fuse;
       vm.limits.max_steps_per_stage = 3;
       RunOutcome vo = RunSource(source.c_str(), vm);
-      ASSERT_FALSE(vo.status.ok())
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
+      ASSERT_FALSE(vo.status.ok()) << mode.name << ", il_opt " << il_opt;
       EXPECT_EQ(vo.stats.trip, TripReason::kSteps)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
+          << mode.name << ", il_opt " << il_opt;
       EXPECT_EQ(vo.stats.steps, tw.stats.steps)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
-      EXPECT_EQ(vo.facts, tw.facts)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
+          << mode.name << ", il_opt " << il_opt;
+      EXPECT_EQ(vo.facts, tw.facts) << mode.name << ", il_opt " << il_opt;
     }
   }
 }
@@ -481,24 +476,20 @@ TEST(GovernorTest, VmDerivationTripFiresAtTheSameStep) {
     ASSERT_FALSE(tw.status.ok()) << mode.name;
     EXPECT_EQ(tw.stats.trip, TripReason::kDerivations) << mode.name;
 
-    // Derivations count satisfying valuations, which neither the optimizer
-    // nor the fusion pass changes (both only skip candidates that would
-    // fail), so the trip lands at the same step in every tier.
-    for (auto [il_opt, il_fuse] :
-         {std::pair{false, false}, {true, false}, {true, true}}) {
-      EvalOptions vm = VmOptions(mode.seminaive, mode.threads);
+    // Derivations count satisfying valuations, which the optimizer never
+    // changes (it only skips candidates that would fail), so the trip
+    // lands at the same step with il_opt on.
+    for (bool il_opt : {false, true}) {
+      EvalOptions vm = VmModeOptions(mode.seminaive, mode.threads);
       vm.il_opt = il_opt;
-      vm.il_fuse = il_fuse;
       vm.limits.max_derivations = 40;
       RunOutcome vo = RunSource(source.c_str(), vm);
-      ASSERT_FALSE(vo.status.ok())
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
+      ASSERT_FALSE(vo.status.ok()) << mode.name << ", il_opt " << il_opt;
       EXPECT_EQ(vo.stats.trip, TripReason::kDerivations)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
+          << mode.name << ", il_opt " << il_opt;
       EXPECT_EQ(vo.stats.steps, tw.stats.steps)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
-      EXPECT_EQ(vo.facts, tw.facts)
-          << mode.name << ", il_opt " << il_opt << ", il_fuse " << il_fuse;
+          << mode.name << ", il_opt " << il_opt;
+      EXPECT_EQ(vo.facts, tw.facts) << mode.name << ", il_opt " << il_opt;
     }
   }
 }
@@ -510,7 +501,7 @@ TEST(GovernorTest, VmMemoryTripRollsBackToAStepBoundary) {
   // checked by budget-matching the observed step count on the tree-walker.
   std::string source = ChainTc(32);
   for (const Mode& mode : kModes) {
-    EvalOptions vm = VmOptions(mode.seminaive, mode.threads);
+    EvalOptions vm = VmModeOptions(mode.seminaive, mode.threads);
     vm.limits.max_memory_bytes = 8192;
     RunOutcome vo = RunSource(source.c_str(), vm);
     ASSERT_FALSE(vo.status.ok()) << mode.name;
@@ -526,7 +517,7 @@ TEST(GovernorTest, VmMemoryTripRollsBackToAStepBoundary) {
 
 TEST(GovernorTest, VmDeadlineTripRollsBackToAStepBoundary) {
   std::string source = ChainTc(220);
-  EvalOptions vm = VmOptions(true, 1);
+  EvalOptions vm = VmModeOptions(true, 1);
   vm.limits.deadline_seconds = 0.005;
   RunOutcome vo = RunSource(source.c_str(), vm);
   if (vo.status.ok()) GTEST_SKIP() << "machine finished under the deadline";

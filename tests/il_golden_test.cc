@@ -1,15 +1,13 @@
 // Golden IL corpus: for every examples/iql/*.iql program, the flat IL its
 // rules compile to (il::DumpProgramIl after parse + type check) is
-// compared against tests/golden_il/<name>.expected, the verified
+// compared against tests/golden_il/<name>.expected, and the verified
 // optimizer's output (iql/ilopt.h) against
-// tests/golden_il_opt/<name>.expected, and the superinstruction fusion
-// pass's output (optimizer + FuseRule, the full execution tier) against
-// tests/golden_il_fused/<name>.expected. All dumps include the semi-naive
+// tests/golden_il_opt/<name>.expected. Both dumps include the semi-naive
 // delta variants, so the corpus pins every lowering the evaluator can
 // request. Unlike the evaluation goldens, which compare up to
 // O-isomorphism, IL text is fully deterministic -- registers, shapes, and
 // probe specs depend only on the source -- so the comparison is exact
-// string equality. Pass --regen to rewrite the corpora after an
+// string equality. Pass --regen to rewrite both corpora after an
 // intentional lowering or pass change (then review the diff: a changed
 // dump means a changed plan, which the differential suites must still
 // prove byte-equivalent to the tree-walker).
@@ -39,15 +37,9 @@ fs::path ExampleDir() {
   return fs::path(IQLKIT_SOURCE_DIR) / "examples" / "iql";
 }
 
-// The three pinned tiers: raw lowering, optimized, and the execution tier
-// the fused VM runs (optimizer followed by superinstruction fusion).
-enum class Tier { kRaw, kOpt, kFused };
-
-fs::path GoldenDir(Tier tier) {
-  const char* dir = tier == Tier::kRaw     ? "golden_il"
-                    : tier == Tier::kOpt   ? "golden_il_opt"
-                                           : "golden_il_fused";
-  return fs::path(IQLKIT_SOURCE_DIR) / "tests" / dir;
+fs::path GoldenDir(bool optimized) {
+  return fs::path(IQLKIT_SOURCE_DIR) / "tests" /
+         (optimized ? "golden_il_opt" : "golden_il");
 }
 
 std::string ReadFile(const fs::path& path) {
@@ -68,9 +60,9 @@ std::set<std::string> ListStems(const fs::path& dir, const char* ext) {
   return out;
 }
 
-// Parses and type checks examples/iql/<name>.iql and renders its IL at
-// the requested tier, delta variants included.
-std::string DumpFor(const std::string& name, Tier tier) {
+// Parses and type checks examples/iql/<name>.iql and renders its IL
+// (optimized or not), delta variants included.
+std::string DumpFor(const std::string& name, bool optimized) {
   Universe u;
   auto unit = ParseUnit(&u, ReadFile(ExampleDir() / (name + ".iql")));
   EXPECT_TRUE(unit.ok()) << unit.status();
@@ -79,17 +71,16 @@ std::string DumpFor(const std::string& name, Tier tier) {
   EXPECT_TRUE(checked.ok()) << checked;
   if (!checked.ok()) return "<type error>";
   il::IlDumpOptions opts;
-  opts.optimize = tier != Tier::kRaw;
-  opts.fuse = tier == Tier::kFused;
+  opts.optimize = optimized;
   opts.delta_variants = true;
   return il::DumpProgramIl(unit->program, u.symbols(), u.types(), opts);
 }
 
-void CheckAgainst(const std::string& name, Tier tier) {
-  std::string dump = DumpFor(name, tier);
-  fs::path golden = GoldenDir(tier) / (name + ".expected");
+void CheckAgainst(const std::string& name, bool optimized) {
+  std::string dump = DumpFor(name, optimized);
+  fs::path golden = GoldenDir(optimized) / (name + ".expected");
   if (regen) {
-    fs::create_directories(GoldenDir(tier));
+    fs::create_directories(GoldenDir(optimized));
     std::ofstream out(golden);
     ASSERT_TRUE(out.good()) << "cannot write " << golden;
     out << dump;
@@ -98,14 +89,13 @@ void CheckAgainst(const std::string& name, Tier tier) {
   ASSERT_TRUE(fs::exists(golden))
       << golden << " is missing; run il_golden_test --regen";
   EXPECT_EQ(ReadFile(golden), dump)
-      << "IL drift for " << name
+      << (optimized ? "optimized " : "") << "IL drift for " << name
       << "; if intentional, run il_golden_test --regen and review the diff";
 }
 
 void RunIlGolden(const std::string& name) {
-  CheckAgainst(name, Tier::kRaw);
-  CheckAgainst(name, Tier::kOpt);
-  CheckAgainst(name, Tier::kFused);
+  CheckAgainst(name, /*optimized=*/false);
+  CheckAgainst(name, /*optimized=*/true);
 }
 
 TEST(IlGoldenTest, Genesis) { RunIlGolden("genesis"); }
@@ -119,9 +109,8 @@ TEST(IlGoldenTest, Updates) { RunIlGolden("updates"); }
 TEST(IlGoldenTest, EveryExampleHasAGolden) {
   if (regen) GTEST_SKIP() << "goldens are being regenerated";
   std::set<std::string> examples = ListStems(ExampleDir(), ".iql");
-  EXPECT_EQ(examples, ListStems(GoldenDir(Tier::kRaw), ".expected"));
-  EXPECT_EQ(examples, ListStems(GoldenDir(Tier::kOpt), ".expected"));
-  EXPECT_EQ(examples, ListStems(GoldenDir(Tier::kFused), ".expected"));
+  EXPECT_EQ(examples, ListStems(GoldenDir(false), ".expected"));
+  EXPECT_EQ(examples, ListStems(GoldenDir(true), ".expected"));
   std::set<std::string> covered = {"genesis", "graph_encoding", "powerset",
                                    "tc", "updates"};
   EXPECT_EQ(examples, covered)

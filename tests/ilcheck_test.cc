@@ -213,138 +213,6 @@ TEST(IlVerifierTest, GetFieldPastGuardShape) {
   ExpectViolation(cr, "out of range for the guarding");
 }
 
-// ---- fused superinstructions ----------------------------------------------
-
-TEST(IlVerifierTest, DestructureRequiresEvenNonEmptyPairList) {
-  CompiledRule cr = Base();
-  Instr d;
-  d.op = Op::kDestructure;
-  d.a = 0;
-  d.imm = 0;
-  d.aux = 0;
-  d.naux = 1;  // odd
-  cr.code.insert(cr.code.begin() + 1, d);
-  cr.aux = {0};
-  cr.shapes = {{4}};
-  ExpectViolation(cr, "even, non-empty aux pair list");
-}
-
-TEST(IlVerifierTest, DestructurePositionPastShape) {
-  CompiledRule cr = Base();
-  Instr d;
-  d.op = Op::kDestructure;
-  d.a = 0;
-  d.imm = 0;
-  d.aux = 0;
-  d.naux = 2;
-  cr.code.insert(cr.code.begin() + 1, d);
-  cr.aux = {1, 1};  // position 1, but the shape has one field
-  cr.shapes = {{4}};
-  cr.num_regs = 2;
-  ExpectViolation(cr, "out of range for the fused shape");
-}
-
-TEST(IlVerifierTest, DestructurePositionsNotAscending) {
-  CompiledRule cr = Base();
-  Instr d;
-  d.op = Op::kDestructure;
-  d.a = 0;
-  d.imm = 0;
-  d.aux = 0;
-  d.naux = 4;
-  cr.code.insert(cr.code.begin() + 1, d);
-  cr.aux = {1, 1, 0, 2};  // positions 1 then 0
-  cr.shapes = {{4, 5}};
-  cr.num_regs = 3;
-  ExpectViolation(cr, "fused field positions not strictly ascending");
-}
-
-TEST(IlVerifierTest, DestructureDstsObeySingleDef) {
-  CompiledRule cr = Base();
-  Instr d;
-  d.op = Op::kDestructure;
-  d.a = 0;
-  d.imm = 0;
-  d.aux = 0;
-  d.naux = 2;
-  cr.code.insert(cr.code.begin() + 1, d);
-  cr.aux = {0, 0};  // dst r0 is already defined by the scan
-  cr.shapes = {{4}};
-  ExpectViolation(cr, "defined twice");
-}
-
-TEST(IlVerifierTest, KeyedScanRequiresStrictFlag) {
-  CompiledRule cr;
-  Instr load;
-  load.op = Op::kLoadConst;
-  load.dst = 0;
-  Instr scan;
-  scan.op = Op::kScanRelKeyed;
-  scan.dst = 1;
-  scan.imm = 0;
-  scan.aux = 0;
-  scan.naux = 2;
-  scan.strict = false;
-  Instr emit;
-  emit.op = Op::kEmit;
-  cr.code = {load, scan, emit};
-  cr.aux = {0, 0};  // (field 0, key r0)
-  cr.shapes = {{4}};
-  cr.num_regs = 2;
-  ExpectViolation(cr, "kScanRelKeyed without the strict flag");
-}
-
-TEST(IlVerifierTest, KeyedScanGuardsGetFieldLikeMatchTuple) {
-  CompiledRule cr;
-  Instr load;
-  load.op = Op::kLoadConst;
-  load.dst = 0;
-  Instr scan;
-  scan.op = Op::kScanRelKeyed;
-  scan.dst = 1;
-  scan.imm = 0;
-  scan.aux = 0;
-  scan.naux = 2;
-  scan.strict = true;
-  Instr get;
-  get.op = Op::kGetField;
-  get.dst = 2;
-  get.a = 1;
-  get.imm = 1;  // second field of the candidate shape
-  Instr emit;
-  emit.op = Op::kEmit;
-  cr.code = {load, scan, get, emit};
-  cr.aux = {0, 0};
-  cr.shapes = {{4, 5}};
-  cr.num_regs = 3;
-  EXPECT_TRUE(VerifyRule(cr).empty());
-  cr.code[2].imm = 5;  // past the keyed scan's shape
-  ExpectViolation(cr, "out of range for the guarding");
-}
-
-TEST(IlVerifierTest, CmpNRequiresEvenNonEmptyPairList) {
-  CompiledRule cr = Base();
-  Instr cmp;
-  cmp.op = Op::kCmpN;
-  cmp.aux = 0;
-  cmp.naux = 3;
-  cr.code.insert(cr.code.begin() + 1, cmp);
-  cr.aux = {0, 0, 0};
-  ExpectViolation(cr, "kCmpN without an even, non-empty register pair list");
-}
-
-TEST(IlVerifierTest, CmpNReadsEveryPairRegister) {
-  CompiledRule cr = Base();
-  Instr cmp;
-  cmp.op = Op::kCmpN;
-  cmp.aux = 0;
-  cmp.naux = 2;
-  cr.code.insert(cr.code.begin() + 1, cmp);
-  cr.aux = {0, 1};  // r1 never defined
-  cr.num_regs = 2;
-  ExpectViolation(cr, "use of r1 before definition");
-}
-
 TEST(IlVerifierTest, DeltaOpInFullVariant) {
   CompiledRule cr = Base();
   cr.code[0].op = Op::kScanDelta;
@@ -423,9 +291,7 @@ TEST(IlVerifierTest, CompiledRulesVerifyClean) {
       EXPECT_TRUE(VerifyRule(*cr).empty());
       for (size_t d = 0; d < rule.body.size(); ++d) {
         auto dv = CompileRule(unit->program, rule, d);
-        if (dv.has_value()) {
-          EXPECT_TRUE(VerifyRule(*dv).empty());
-        }
+        if (dv.has_value()) EXPECT_TRUE(VerifyRule(*dv).empty());
       }
     }
   }

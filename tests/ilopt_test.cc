@@ -174,73 +174,6 @@ TEST(IlOptTest, OptimizeIsIdempotentOnEveryCompiledRule) {
   }
 }
 
-// ---- superinstruction fusion ----------------------------------------------
-
-TEST(IlFuseTest, OptimizedJoinFusesKeyedScanAndDestructure) {
-  Compiled c(kTc);
-  CompiledRule cr = c.compile(0, 1);
-  OptResult opt = OptimizeRule(cr);
-  FuseResult fused = FuseRule(opt.rule);
-  EXPECT_TRUE(VerifyRule(fused.rule).empty());
-  // The strict probe scan absorbs its guard; the outer scan's guard and
-  // field extraction collapse into one destructure.
-  EXPECT_EQ(fused.fused_keyed_scans, 1u);
-  EXPECT_GE(fused.fused_destructures, 1u);
-  std::string disasm = c.disasm(fused.rule);
-  EXPECT_NE(disasm.find("scan_rel_keyed"), std::string::npos) << disasm;
-  EXPECT_NE(disasm.find("destructure"), std::string::npos) << disasm;
-  EXPECT_LT(fused.rule.code.size(), opt.rule.code.size());
-}
-
-TEST(IlFuseTest, UnoptimizedIlStillFusesDestructure) {
-  Compiled c(kTc);
-  CompiledRule cr = c.compile(0, 1);
-  FuseResult fused = FuseRule(cr);
-  EXPECT_TRUE(VerifyRule(fused.rule).empty());
-  // Without the optimizer no scan is strict, so no keyed fusion -- but
-  // guard-plus-gets sequences still collapse.
-  EXPECT_EQ(fused.fused_keyed_scans, 0u);
-  EXPECT_GE(fused.fused_destructures, 1u);
-}
-
-TEST(IlFuseTest, ConsecutiveComparesFuseToCmpN) {
-  Compiled c(R"(
-    schema { relation R : [D, D]; relation T : D; }
-    input R; output T;
-    program { T(x) :- R(x, y), x = y, x = y. }
-  )");
-  CompiledRule cr = c.compile(0, 0);
-  FuseResult fused = FuseRule(cr);
-  EXPECT_TRUE(VerifyRule(fused.rule).empty());
-  EXPECT_GE(fused.fused_cmp_chains, 1u);
-  EXPECT_NE(c.disasm(fused.rule).find("cmp_n"), std::string::npos)
-      << c.disasm(fused.rule);
-}
-
-TEST(IlFuseTest, FusionIsIdempotent) {
-  Compiled c(kTc);
-  for (size_t rule : {0u, 1u}) {
-    for (bool optimize : {false, true}) {
-      CompiledRule cr = c.compile(0, rule);
-      if (optimize) cr = OptimizeForExecution(cr);
-      FuseResult once = FuseRule(cr);
-      FuseResult twice = FuseRule(once.rule);
-      EXPECT_EQ(twice.fused_keyed_scans, 0u);
-      EXPECT_EQ(twice.fused_destructures, 0u);
-      EXPECT_EQ(twice.fused_cmp_chains, 0u);
-      EXPECT_EQ(c.disasm(once.rule), c.disasm(twice.rule));
-    }
-  }
-}
-
-TEST(IlFuseTest, OptimizeRulePassesFusedInputThrough) {
-  Compiled c(kTc);
-  CompiledRule fused = FuseForExecution(OptimizeForExecution(c.compile(0, 1)));
-  OptResult opt = OptimizeRule(fused);
-  EXPECT_TRUE(opt.removed.empty());
-  EXPECT_EQ(c.disasm(opt.rule), c.disasm(fused));
-}
-
 // ---- L-series lint --------------------------------------------------------
 
 std::map<std::string, int> CodeCounts(const DiagnosticSink& sink) {
@@ -360,19 +293,10 @@ TEST(IlOptDifferentialTest, OptimizedRunsMatchBothOracles) {
       std::string vm = RunToFacts(source, options);
       options.il_opt = true;
       std::string vm_opt = RunToFacts(source, options);
-      options.il_fuse = true;
-      std::string vm_fused = RunToFacts(source, options);
-      options.dispatch = EvalOptions::Dispatch::kSwitch;
-      std::string vm_fused_sw = RunToFacts(source, options);
       EXPECT_EQ(tree, vm) << "seminaive " << seminaive << ", indexing "
                           << indexing;
       EXPECT_EQ(vm, vm_opt) << "seminaive " << seminaive << ", indexing "
                             << indexing;
-      EXPECT_EQ(vm, vm_fused) << "fused tier: seminaive " << seminaive
-                              << ", indexing " << indexing;
-      EXPECT_EQ(vm, vm_fused_sw)
-          << "fused tier, switch dispatch: seminaive " << seminaive
-          << ", indexing " << indexing;
     }
   }
 }
@@ -417,36 +341,51 @@ TEST(IlOptDifferentialTest, OptimizerShrinksVmInstructionCount) {
             std::string::npos);
 }
 
-TEST(IlOptDifferentialTest, FusionAccountsConstituentsAndDispatches) {
-  std::string source = JoinProgram();
+// vm_instructions is exactly one per dispatched instruction. Pinned on a
+// hand-traced naive, serial TC run over the path 1 -> 2 -> 3 -> 4 (the
+// raw and optimized IL are tests/golden_il{,_opt}/tc.expected):
+//
+//   * Rule 0 (7 instrs) costs 1 + 6|E| = 19 per round: the scan, then
+//     match..emit per edge, each backtrack resuming at %1.
+//   * Rule 1 costs 1 for the TC scan, then per TC tuple (x, y) 5 for
+//     %1..%5, 1 for the E probe, and per successor of y the instructions
+//     after the probe: 6 raw (match, field, cmp, field, bind, emit) or 4
+//     optimized (the strict probe absorbed the field + cmp). A y with no
+//     successor misses every bucket and fails at the probe.
+//   * Rounds see TC = {}, {12, 23, 34}, + {13, 24}, + {14}; the fourth
+//     derives nothing new. TC tuples ending in 2 or 3 have one successor,
+//     those ending in 4 none.
+//
+// Raw rule 1 costs 1, 31, 49, 55 over the four rounds (136), with 12 per
+// TC tuple that has a successor; optimized, 1, 27, 43, 49 (120), with 10.
+// A backtrack that counted the resumed instruction twice would overshoot
+// both.
+TEST(IlOptDifferentialTest, VmInstructionsCountEachDispatchOnce) {
+  const std::string source = R"(
+    schema { relation E : [D, D]; relation TC : [D, D]; }
+    input E;
+    output TC;
+    instance { E(1, 2); E(2, 3); E(3, 4); }
+    program {
+      TC(x, y) :- E(x, y).
+      TC(x, z) :- TC(x, y), E(y, z).
+    }
+  )";
   EvalOptions options;
   options.engine = EvalOptions::Engine::kVm;
-  options.il_opt = true;
-  EvalMetrics unfused;
-  RunToFacts(source, options, &unfused);
-  options.il_fuse = true;
-  EvalMetrics fused;
-  RunToFacts(source, options, &fused);
-  uint64_t unfused_instrs = 0;
-  uint64_t fused_instrs = 0;
-  uint64_t fused_dispatches = 0;
-  for (const RuleMetrics& r : unfused.rules) {
-    unfused_instrs += r.vm_instructions;
-    EXPECT_EQ(r.vm_fused_dispatches, 0u);
+  options.enable_seminaive = false;
+  options.num_threads = 1;
+  for (bool il_opt : {false, true}) {
+    options.il_opt = il_opt;
+    EvalMetrics metrics;
+    RunToFacts(source, options, &metrics);
+    ASSERT_EQ(metrics.rules.size(), 2u);
+    EXPECT_EQ(metrics.rules[0].invocations, 4u) << "il_opt " << il_opt;
+    EXPECT_EQ(metrics.rules[0].vm_instructions, 4u * 19u)
+        << "il_opt " << il_opt;
+    EXPECT_EQ(metrics.rules[1].vm_instructions, il_opt ? 120u : 136u)
+        << "il_opt " << il_opt;
   }
-  for (const RuleMetrics& r : fused.rules) {
-    fused_instrs += r.vm_instructions;
-    fused_dispatches += r.vm_fused_dispatches;
-  }
-  // Fused ops charge their constituent count along the executed path, so
-  // the instruction metric stays comparable with the unfused tier (the
-  // keyed scan only skips work for candidates the unfused guard would
-  // reject anyway); the separate dispatch counter is the fusion signal.
-  EXPECT_GT(fused_instrs, 0u);
-  EXPECT_LE(fused_instrs, unfused_instrs);
-  EXPECT_GT(fused_dispatches, 0u);
-  EXPECT_NE(fused.ToJson().find("\"vm_fused_dispatches\":"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -81,25 +81,6 @@ constexpr ModeConfig kModes[] = {
     {"seminaive+indexed", true, true, true},
 };
 
-// The VM-only dimensions: optimizer, fusion, and dispatch loop. Fusion is
-// tested with and without the optimizer underneath, and the portable
-// switch dispatch is pinned against the (default) threaded loop on the
-// fully tiered configuration.
-struct VmConfig {
-  const char* name;
-  bool il_opt;
-  bool il_fuse;
-  EvalOptions::Dispatch dispatch;
-};
-
-constexpr VmConfig kVmConfigs[] = {
-    {"plain", false, false, EvalOptions::Dispatch::kThreaded},
-    {"opt", true, false, EvalOptions::Dispatch::kThreaded},
-    {"fuse", false, true, EvalOptions::Dispatch::kThreaded},
-    {"opt+fuse", true, true, EvalOptions::Dispatch::kThreaded},
-    {"opt+fuse+switch", true, true, EvalOptions::Dispatch::kSwitch},
-};
-
 void ExpectBitIdenticalAcrossThreadCounts(const std::string& source) {
   for (const ModeConfig& mode : kModes) {
     EvalOptions options;
@@ -112,27 +93,29 @@ void ExpectBitIdenticalAcrossThreadCounts(const std::string& source) {
     options.parallel_min_candidates = 1;
     options.num_threads = 1;
     std::string serial = RunToFacts(source, options);
-    // Every (engine, vm config, thread count) cell must reproduce the
-    // serial tree-walker byte-for-byte -- the VM included, at one thread
-    // and under the fan-out, across optimizer / fusion / dispatch.
-    for (uint32_t threads : {2u, 8u}) {
-      options.num_threads = threads;
-      options.engine = EvalOptions::Engine::kTreeWalk;
-      EXPECT_EQ(RunToFacts(source, options), serial)
-          << "mode " << mode.name << ", engine tree-walk, num_threads "
-          << threads;
-    }
-    options.engine = EvalOptions::Engine::kVm;
-    for (const VmConfig& vc : kVmConfigs) {
-      options.il_opt = vc.il_opt;
-      options.il_fuse = vc.il_fuse;
-      options.dispatch = vc.dispatch;
-      for (uint32_t threads : {1u, 2u, 8u}) {
-        options.num_threads = threads;
-        EXPECT_EQ(RunToFacts(source, options), serial)
-            << "mode " << mode.name << ", engine vm, config " << vc.name
-            << ", num_threads " << threads;
+    // Every (engine, il_opt, thread count) cell must reproduce the serial
+    // tree-walker byte-for-byte -- the VM included, at one thread and
+    // under the fan-out, with and without the IL optimizer.
+    for (EvalOptions::Engine engine :
+         {EvalOptions::Engine::kTreeWalk, EvalOptions::Engine::kVm}) {
+      options.engine = engine;
+      for (bool il_opt : {false, true}) {
+        if (engine == EvalOptions::Engine::kTreeWalk && il_opt) {
+          continue;  // il_opt is a VM-only dimension
+        }
+        options.il_opt = il_opt;
+        for (uint32_t threads : {1u, 2u, 8u}) {
+          if (engine == EvalOptions::Engine::kTreeWalk && threads == 1) {
+            continue;  // the baseline itself
+          }
+          options.num_threads = threads;
+          EXPECT_EQ(RunToFacts(source, options), serial)
+              << "mode " << mode.name << ", engine "
+              << (engine == EvalOptions::Engine::kVm ? "vm" : "tree-walk")
+              << ", il_opt " << il_opt << ", num_threads " << threads;
+        }
       }
+      options.il_opt = false;
     }
   }
 }

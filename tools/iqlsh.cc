@@ -33,14 +33,6 @@
 //                        rule before the VM executes it (implies nothing
 //                        about results: they stay byte-identical); with
 //                        --il, print the optimized lowering instead
-//   --il-fuse            run the superinstruction fusion pass after the
-//                        optimizer (keyed scans, destructures, compare
-//                        chains); results stay byte-identical; with --il,
-//                        print the fused lowering
-//   --dispatch=MODE      VM dispatch loop: `threaded` (computed goto, the
-//                        default where the build supports it) or `switch`
-//                        (the portable loop); output is identical either
-//                        way
 //   --lint, :lint        run the iqlint static analyzer and exit (exit
 //                        code 2 on errors, 1 on warnings, 0 otherwise)
 //   --no-seminaive       force the paper's naive operator on every stage
@@ -142,8 +134,6 @@ int main(int argc, char** argv) {
   bool explain_flag = false;
   bool il_flag = false;
   bool il_opt_flag = false;
-  bool il_fuse_flag = false;
-  bool dispatch_switch = false;
   bool vm_flag = false;
   bool no_seminaive = false;
   bool no_index = false;
@@ -190,16 +180,6 @@ int main(int argc, char** argv) {
       il_flag = true;
     } else if (arg == "--il-opt") {
       il_opt_flag = true;
-    } else if (arg == "--il-fuse") {
-      il_fuse_flag = true;
-    } else if (arg.rfind("--dispatch=", 0) == 0) {
-      std::string mode = arg.substr(11);
-      if (mode == "switch") {
-        dispatch_switch = true;
-      } else if (mode != "threaded") {
-        std::cerr << "iqlsh: --dispatch expects 'switch' or 'threaded'\n";
-        return 2;
-      }
     } else if (arg == "--vm") {
       vm_flag = true;
     } else if (arg == "--no-seminaive") {
@@ -270,15 +250,8 @@ int main(int argc, char** argv) {
   if (il_flag) {
     il::IlDumpOptions il_opts;
     il_opts.optimize = il_opt_flag;
-    il_opts.fuse = il_fuse_flag;
-    const char* header = "=== rule IL ===\n";
-    if (il_fuse_flag) {
-      header = il_opt_flag ? "=== rule IL (optimized, fused) ===\n"
-                           : "=== rule IL (fused) ===\n";
-    } else if (il_opt_flag) {
-      header = "=== rule IL (optimized) ===\n";
-    }
-    std::cout << header
+    std::cout << (il_opt_flag ? "=== rule IL (optimized) ===\n"
+                              : "=== rule IL ===\n")
               << il::DumpProgramIl(unit->program, u.symbols(), u.types(),
                                    il_opts);
     return 0;
@@ -395,8 +368,6 @@ int main(int argc, char** argv) {
   options.enable_scheduling = !no_schedule;
   if (vm_flag) options.engine = EvalOptions::Engine::kVm;
   options.il_opt = il_opt_flag;
-  options.il_fuse = il_fuse_flag;
-  if (dispatch_switch) options.dispatch = EvalOptions::Dispatch::kSwitch;
   // Without --threads the library default applies (0 = hardware
   // concurrency); results are identical either way.
   if (threads_set) options.num_threads = num_threads;
