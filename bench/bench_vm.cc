@@ -6,14 +6,10 @@
 // interpreted by vm::VmSolver. The outputs are byte-identical by the
 // differential suites; this file measures the cost of that equivalence.
 // `bench/run_all.sh` matches the pairs by name and records the mean
-// speedup under `.vm` in BENCH_RESULTS.json. The _VmOpt series rerun the
-// IQL graph workloads with `EvalOptions::il_opt` (the verified optimizer
-// of iql/ilopt.h); run_all.sh pairs them with _Vm under `.vm_opt`,
-// together with instructions retired per emitted fact from the
-// vm_instructions counter. The powerset series keeps its invention rules
-// on the tree-walker (IL compilation declines them), so it bounds the win
-// when only part of a program is VM-eligible; the Datalog pair compares
-// EvalMode::kVm against kSemiNaiveIndexed.
+// speedup under `.vm` in BENCH_RESULTS.json. The powerset series keeps
+// its invention rules on the tree-walker (IL compilation declines them),
+// so it bounds the win when only part of a program is VM-eligible; the
+// Datalog pair compares EvalMode::kVm against kSemiNaiveIndexed.
 
 #include <benchmark/benchmark.h>
 
@@ -70,8 +66,7 @@ EvalOptions EngineOptions(EvalOptions::Engine engine) {
 }
 
 void RunGraphProgram(benchmark::State& state, std::string_view source,
-                     std::string_view out_rel, EvalOptions::Engine engine,
-                     bool il_opt = false) {
+                     std::string_view out_rel, EvalOptions::Engine engine) {
   int n = static_cast<int>(state.range(0));
   auto edges = RandomGraph(n, 2 * n, 17);
   size_t result_size = 0;
@@ -81,7 +76,6 @@ void RunGraphProgram(benchmark::State& state, std::string_view source,
     PreparedRun run(source);
     for (auto [a, b] : edges) run.AddEdge("E", a, b);
     EvalOptions options = EngineOptions(engine);
-    options.il_opt = il_opt;
     options.metrics = &metrics;
     auto start = std::chrono::steady_clock::now();
     auto out = run.Run(options);
@@ -113,16 +107,6 @@ BENCHMARK(BM_Vm_Tc_Vm)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_Vm_Tc_VmOpt(benchmark::State& state) {
-  RunGraphProgram(state, kTC, "TC", EvalOptions::Engine::kVm,
-                  /*il_opt=*/true);
-}
-BENCHMARK(BM_Vm_Tc_VmOpt)
-    ->RangeMultiplier(2)
-    ->Range(32, 128)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
 void BM_Vm_Join_TreeWalk(benchmark::State& state) {
   RunGraphProgram(state, kTriangles, "T", EvalOptions::Engine::kTreeWalk);
 }
@@ -136,16 +120,6 @@ void BM_Vm_Join_Vm(benchmark::State& state) {
   RunGraphProgram(state, kTriangles, "T", EvalOptions::Engine::kVm);
 }
 BENCHMARK(BM_Vm_Join_Vm)
-    ->RangeMultiplier(2)
-    ->Range(64, 256)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Vm_Join_VmOpt(benchmark::State& state) {
-  RunGraphProgram(state, kTriangles, "T", EvalOptions::Engine::kVm,
-                  /*il_opt=*/true);
-}
-BENCHMARK(BM_Vm_Join_VmOpt)
     ->RangeMultiplier(2)
     ->Range(64, 256)
     ->UseManualTime()

@@ -130,39 +130,6 @@ jq '
     else . end
 ' "$OUT.tmp" > "$OUT.tmp2"
 mv "$OUT.tmp2" "$OUT.tmp"
-# IL optimizer: matched _Vm/_VmOpt bench_vm pairs (identical program,
-# input, and engine; the only difference is EvalOptions::il_opt). Records
-# the wall-clock speedup and, from the vm_instructions counter, the VM
-# instructions retired per emitted fact with the optimizer off and on --
-# the dispatch reduction is the optimizer's direct effect, visible even
-# when wall time is noise-bound. Recorded under .vm_opt.
-jq '
-  (.runs.bench_vm.benchmarks // []) as $b
-  | [ $b[] | select(.name | contains("_VmOpt/"))
-      | {key: (.name | sub("_VmOpt/"; "/")), t: .real_time,
-         ipe: (if (.rule_derivations // 0) > 0
-               then (.vm_instructions / .rule_derivations) else null end)} ]
-      as $opt
-  | [ $b[] | select((.name | contains("_Vm/")) and
-                    (.name | contains("_VmOpt/") | not))
-      | {key: (.name | sub("_Vm/"; "/")), t: .real_time,
-         ipe: (if (.rule_derivations // 0) > 0
-               then (.vm_instructions / .rule_derivations) else null end)} ]
-      as $plain
-  | [ $opt[] as $o | $plain[] | select(.key == $o.key)
-      | {workload: $o.key, speedup: (.t / $o.t),
-         instructions_per_emit: .ipe,
-         instructions_per_emit_opt: $o.ipe} ] as $pairs
-  | if ($pairs | length) > 0 then
-      .vm_opt = {mean_speedup:
-                   (([$pairs[].speedup] | add) / ($pairs | length)),
-                 points: ($pairs | length),
-                 pairs: $pairs}
-    elif .runs.bench_vm then
-      error("bench_vm ran but matched no _Vm/_VmOpt points")
-    else . end
-' "$OUT.tmp" > "$OUT.tmp2"
-mv "$OUT.tmp2" "$OUT.tmp"
 # Durability overhead: mean Durable(no-fsync)/Plain real-time ratio on
 # matched bench_durability size points (identical serial TC fixpoint; the
 # durable run adds an input snapshot, one checksummed WAL frame per
@@ -225,11 +192,6 @@ fi
 if jq -e '.vm' "$OUT" > /dev/null; then
   echo "vm mean speedup over tree-walker: $(jq '.vm.mean_speedup' "$OUT")" \
        "($(jq '.vm.points' "$OUT") matched points)"
-fi
-if jq -e '.vm_opt' "$OUT" > /dev/null; then
-  echo "il_opt mean speedup over plain vm:" \
-       "$(jq '.vm_opt.mean_speedup' "$OUT")" \
-       "($(jq '.vm_opt.points' "$OUT") matched points)"
 fi
 if jq -e '.durability' "$OUT" > /dev/null; then
   echo "durability overhead ratio: $(jq '.durability.overhead_ratio' "$OUT")" \

@@ -19,7 +19,6 @@
 #include "base/thread_pool.h"
 #include "iql/extent.h"
 #include "iql/il.h"
-#include "iql/ilopt.h"
 #include "iql/index.h"
 #include "iql/parser.h"
 #include "iql/typecheck.h"
@@ -886,9 +885,6 @@ class StageRunner {
       compiled_.resize(rules_.size());
       for (size_t i = 0; i < rules_.size(); ++i) {
         compiled_[i] = il::CompileRule(prog_, rules_[i]);
-        if (options_.il_opt && compiled_[i].has_value()) {
-          compiled_[i] = il::OptimizeForExecution(*compiled_[i]);
-        }
       }
     }
   }
@@ -961,12 +957,9 @@ class StageRunner {
     auto key = std::make_pair(r, delta_literal);
     auto it = delta_compiled_.find(key);
     if (it == delta_compiled_.end()) {
-      std::optional<il::CompiledRule> cr =
-          il::CompileRule(prog_, rules_[r], delta_literal);
-      if (options_.il_opt && cr.has_value()) {
-        cr = il::OptimizeForExecution(*cr);
-      }
-      it = delta_compiled_.emplace(key, std::move(cr)).first;
+      it = delta_compiled_
+               .emplace(key, il::CompileRule(prog_, rules_[r], delta_literal))
+               .first;
     }
     return it->second.has_value() ? &*it->second : nullptr;
   }

@@ -32,8 +32,7 @@ struct RuleMetrics {
   // when every solver invocation ran serially).
   uint64_t parallel_partitions = 0;
   // IL instructions the register VM dispatched for this rule (0 under the
-  // tree-walker); with EvalOptions::il_opt this is the retired-work number
-  // the optimizer shrinks. Exactly one per dispatched instruction.
+  // tree-walker). Exactly one per dispatched instruction.
   uint64_t vm_instructions = 0;
   double seconds = 0.0;       // wall time spent inside this rule's solver
 };
@@ -180,15 +179,6 @@ struct EvalOptions {
   // count; the differential suites enforce this.
   enum class Engine { kTreeWalk, kVm };
   Engine engine = Engine::kTreeWalk;
-
-  // Run the verified IL optimizer (iql/ilopt.h) over every compiled rule
-  // (full and delta variants) before the VM executes it: dead/duplicate
-  // instruction elimination, equality propagation, and filter sinking
-  // into strict probe keys. Only meaningful with engine == kVm. Pure
-  // optimization -- emitted valuations, and therefore WriteFacts output
-  // and governor derivation trips, are byte-identical with it off; the
-  // differential suites enforce this.
-  bool il_opt = false;
 
   // Durable evaluation. When `sink` is set the work instance keeps a
   // per-step journal of fact operations, and after every committed fixpoint

@@ -83,13 +83,6 @@ inline constexpr uint32_t kNoSrc = 0xFFFFFFFFu;
 struct Instr {
   Op op = Op::kEmit;
   bool pol = true;      // polarity for kCheck*
-  // Strict probe spec (set only by the IL optimizer, iql/ilopt.h): the VM
-  // itself skips scan candidates whose keyed fields differ from the key
-  // registers, instead of trusting the index's hash buckets. That makes
-  // the spec an exact filter -- index buckets only prefilter (collisions
-  // and index-off scans still deliver non-matching candidates) -- which is
-  // what licenses deleting the probe-implied post-scan field compares.
-  bool strict = false;
   uint16_t dst = 0;     // result / scan register
   uint16_t a = 0;       // first operand register
   uint16_t b = 0;       // second operand register
@@ -129,8 +122,7 @@ std::optional<CompiledRule> CompileRule(const Program& prog, const Rule& rule,
                                         size_t delta_literal = kNoDelta);
 
 // Deterministic textual rendering of one compiled rule, used by the
-// `:il` dump and the golden IL corpus. Strict probe specs render as
-// `probe![...]`.
+// `:il` dump and the golden IL corpus.
 std::string Disassemble(const CompiledRule& cr, const SymbolTable& syms,
                         const TypePool& types,
                         const std::string& indent = "  ");
@@ -142,8 +134,14 @@ std::string RenderInstruction(const CompiledRule& cr, size_t pc,
 
 // Renders the IL of every rule in a typechecked program, stage by stage,
 // marking tree-walk fallbacks. Stable across runs for a given source.
+// With `delta_variants`, each rule is followed by its semi-naive delta
+// variants: one per positive relation-membership body literal whose
+// relation is a head relation of the same stage -- a superset of the
+// variants semi-naive evaluation compiles (it also requires stage
+// eligibility), so the golden corpus pins every lowering the evaluator
+// can request.
 std::string DumpProgramIl(const Program& prog, const SymbolTable& syms,
-                          const TypePool& types);
+                          const TypePool& types, bool delta_variants = false);
 
 }  // namespace iqlkit::il
 

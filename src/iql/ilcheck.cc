@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
+#include <numeric>
+#include <optional>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 namespace iqlkit::il {
 namespace {
@@ -33,6 +38,35 @@ size_t AuxCount(const CompiledRule& cr, const Instr& in) {
 }
 
 std::string Reg(uint16_t r) { return "r" + std::to_string(r); }
+
+// The abstract value `in` gives the register it defines.
+AbsVal AbsOfDef(const Instr& in) {
+  AbsVal v;
+  switch (in.op) {
+    case Op::kLoadConst:
+      v.kind = AbsVal::Kind::kConst;
+      v.sym = in.sym;
+      break;
+    case Op::kLoadRel:
+      v.kind = AbsVal::Kind::kRelValue;
+      v.sym = in.sym;
+      break;
+    case Op::kLoadClass:
+      v.kind = AbsVal::Kind::kClassValue;
+      v.sym = in.sym;
+      break;
+    case Op::kMakeTuple:
+      v.kind = AbsVal::Kind::kTuple;
+      v.shape = in.imm;
+      break;
+    case Op::kMakeSet:
+      v.kind = AbsVal::Kind::kSet;
+      break;
+    default:
+      break;  // scans, kDeref, kGetField: kAny
+  }
+  return v;
+}
 
 }  // namespace
 
@@ -104,82 +138,11 @@ int DefOf(const Instr& in) {
   }
 }
 
-DefUse BuildDefUse(const CompiledRule& cr) {
-  DefUse du;
-  du.def.assign(cr.num_regs, -1);
-  du.uses.assign(cr.num_regs, {});
-  for (size_t pc = 0; pc < cr.code.size(); ++pc) {
-    ForEachUse(cr, pc, [&](uint16_t r) {
-      if (r < cr.num_regs) du.uses[r].push_back(static_cast<uint32_t>(pc));
-    });
-    int d = DefOf(cr.code[pc]);
-    if (d >= 0 && d < cr.num_regs && du.def[d] < 0) {
-      du.def[d] = static_cast<int>(pc);
-    }
-  }
-  return du;
-}
-
-std::vector<LiveRange> ComputeLiveRanges(const CompiledRule& cr) {
-  DefUse du = BuildDefUse(cr);
-  std::vector<LiveRange> live(cr.num_regs);
-  std::vector<uint32_t> scan_pcs;
-  for (size_t pc = 0; pc < cr.code.size(); ++pc) {
-    if (IsScan(cr.code[pc].op)) scan_pcs.push_back(static_cast<uint32_t>(pc));
-  }
-  const int emit_pc = static_cast<int>(cr.code.size()) - 1;
-  for (uint16_t r = 0; r < cr.num_regs; ++r) {
-    live[r].def = du.def[r];
-    if (!du.uses[r].empty()) {
-      live[r].last_use = static_cast<int>(du.uses[r].back());
-    }
-  }
-  // Theta registers are read by kEmit.
-  for (const auto& [var, r] : cr.theta) {
-    if (r < cr.num_regs) live[r].last_use = emit_pc;
-  }
-  for (uint16_t r = 0; r < cr.num_regs; ++r) {
-    for (uint32_t s : scan_pcs) {
-      if (live[r].def >= 0 && static_cast<int>(s) > live[r].def &&
-          static_cast<int>(s) < live[r].last_use) {
-        live[r].crosses_scan = true;
-        break;
-      }
-    }
-  }
-  return live;
-}
-
 std::vector<AbsVal> PropagateAbstract(const CompiledRule& cr) {
   std::vector<AbsVal> abs(cr.num_regs);
   for (const Instr& in : cr.code) {
     int d = DefOf(in);
-    if (d < 0 || d >= cr.num_regs) continue;
-    AbsVal v;
-    switch (in.op) {
-      case Op::kLoadConst:
-        v.kind = AbsVal::Kind::kConst;
-        v.sym = in.sym;
-        break;
-      case Op::kLoadRel:
-        v.kind = AbsVal::Kind::kRelValue;
-        v.sym = in.sym;
-        break;
-      case Op::kLoadClass:
-        v.kind = AbsVal::Kind::kClassValue;
-        v.sym = in.sym;
-        break;
-      case Op::kMakeTuple:
-        v.kind = AbsVal::Kind::kTuple;
-        v.shape = in.imm;
-        break;
-      case Op::kMakeSet:
-        v.kind = AbsVal::Kind::kSet;
-        break;
-      default:
-        break;  // scans, kDeref, kGetField: kAny
-    }
-    abs[d] = v;
+    if (d >= 0 && d < cr.num_regs) abs[d] = AbsOfDef(in);
   }
   return abs;
 }
@@ -269,9 +232,6 @@ std::vector<IlViolation> VerifyRule(const CompiledRule& cr) {
         }
       }
     }
-    if (in.strict && (!IsContainerScan(in.op) || in.naux == 0)) {
-      bad(pc, "strict flag without a container-scan probe spec");
-    }
     if ((in.op == Op::kScanDelta || in.op == Op::kScanExtent) &&
         in.naux != 0) {
       bad(pc, "probe spec on a delta/extent scan");
@@ -350,31 +310,7 @@ std::vector<IlViolation> VerifyRule(const CompiledRule& cr) {
                     " defined twice");
       } else {
         defined[d] = true;
-        AbsVal v;
-        switch (in.op) {
-          case Op::kLoadConst:
-            v.kind = AbsVal::Kind::kConst;
-            v.sym = in.sym;
-            break;
-          case Op::kLoadRel:
-            v.kind = AbsVal::Kind::kRelValue;
-            v.sym = in.sym;
-            break;
-          case Op::kLoadClass:
-            v.kind = AbsVal::Kind::kClassValue;
-            v.sym = in.sym;
-            break;
-          case Op::kMakeTuple:
-            v.kind = AbsVal::Kind::kTuple;
-            v.shape = in.imm;
-            break;
-          case Op::kMakeSet:
-            v.kind = AbsVal::Kind::kSet;
-            break;
-          default:
-            break;
-        }
-        abs[d] = v;
+        abs[d] = AbsOfDef(in);
       }
     }
   }
@@ -401,6 +337,173 @@ std::vector<IlViolation> VerifyRule(const CompiledRule& cr) {
     }
   }
   return out;
+}
+
+namespace {
+
+// A filter that can never succeed: the body provably emits nothing.
+struct EmptyReason {
+  uint32_t pc = 0;  // the always-failing instruction
+  std::string detail;
+};
+
+// One forward pass over a verifier-clean rule (pc order is dominance). It
+// tracks register equality classes -- a successful kCmp or positive
+// kCheckEq merges its operands' classes, and a pure producer repeating an
+// earlier one's op and operand classes yields the same hash-consed id --
+// each with the most specific abstract value any member is known to hold,
+// refined by kMatchTuple (a tuple), kCheckIn and kScanSet (a set).
+// Returns the first filter that can never succeed; it stays in the IL and
+// fails fast at runtime.
+std::optional<EmptyReason> FindStaticallyEmpty(const CompiledRule& cr) {
+  // Union-find; abs[root] is the class's value. Hash-consing makes equal
+  // values the same ValueId, so every member's facts hold for the class.
+  std::vector<AbsVal> abs = PropagateAbstract(cr);
+  std::vector<uint16_t> parent(cr.num_regs);
+  std::iota(parent.begin(), parent.end(), uint16_t{0});
+  auto find = [&](uint16_t r) {
+    while (parent[r] != r) r = parent[r] = parent[parent[r]];
+    return r;
+  };
+  auto unite = [&](uint16_t x, uint16_t y) {
+    x = find(x);
+    y = find(y);
+    if (x == y) return;
+    if (abs[x].kind == AbsVal::Kind::kAny) std::swap(x, y);
+    parent[y] = x;
+  };
+  using VnKey = std::tuple<Op, Symbol, uint32_t, std::vector<uint16_t>>;
+  std::map<VnKey, uint16_t> numbered;
+
+  for (size_t pc = 0; pc < cr.code.size(); ++pc) {
+    const Instr& in = cr.code[pc];
+    auto empty = [pc](const char* detail) {
+      return EmptyReason{static_cast<uint32_t>(pc), detail};
+    };
+    switch (in.op) {
+      case Op::kLoadConst:
+      case Op::kLoadRel:
+      case Op::kLoadClass:
+      case Op::kDeref:
+      case Op::kGetField:
+      case Op::kMakeTuple:
+      case Op::kMakeSet: {
+        // kDeref can fail, but a repeat on the same operand is reached
+        // only after the first succeeded: same input, same result.
+        std::vector<uint16_t> operands;
+        ForEachUse(cr, pc, [&](uint16_t r) { operands.push_back(find(r)); });
+        VnKey key{in.op, in.sym, in.imm, std::move(operands)};
+        auto [it, fresh] = numbered.emplace(std::move(key), in.dst);
+        if (!fresh) unite(in.dst, it->second);
+        break;
+      }
+      case Op::kMatchTuple: {
+        AbsVal& v = abs[find(in.a)];
+        if (NeverTuple(v)) {
+          return empty("tuple match over a value that is never a tuple");
+        }
+        if (v.kind == AbsVal::Kind::kAny) {
+          v.kind = AbsVal::Kind::kTuple;
+          v.shape = in.imm;
+        }
+        break;
+      }
+      case Op::kCmp:
+      case Op::kCheckEq: {
+        bool pol = in.op == Op::kCmp || in.pol;
+        uint16_t x = find(in.a);
+        uint16_t y = find(in.b);
+        if (x == y) {
+          if (!pol) return empty("a value compared unequal to itself");
+        } else if (ProvablyDistinct(abs[x], abs[y])) {
+          if (pol) return empty("equality of provably distinct values");
+        } else if (pol) {
+          unite(x, y);
+        }
+        break;
+      }
+      case Op::kCheckIn:
+      case Op::kScanSet: {
+        // A non-set container fails kCheckIn of either polarity.
+        AbsVal& v = abs[find(in.a)];
+        if (NeverSet(v)) {
+          return empty(in.op == Op::kScanSet
+                           ? "scan of a value that is never a set"
+                           : "membership test in a value that is never a "
+                             "set");
+        }
+        if (v.kind == AbsVal::Kind::kAny) v.kind = AbsVal::Kind::kSet;
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+void LintCompiledRule(const CompiledRule& cr, const Rule& rule,
+                      const SymbolTable& syms, const TypePool& types,
+                      DiagnosticSink* sink) {
+  auto span_for = [&](uint32_t src) {
+    if (src != kNoSrc && src < rule.body.size()) return rule.body[src].span;
+    return rule.span;
+  };
+
+  // L004: malformed IL. CompileRule never produces it (debug-asserted),
+  // so in practice this fires only on hand-built or corrupted IL; the
+  // later checks assume verifier-clean input, so stop here.
+  std::vector<IlViolation> violations = VerifyRule(cr);
+  if (!violations.empty()) {
+    for (const IlViolation& v : violations) {
+      uint32_t src =
+          v.pc < cr.code.size() ? cr.code[v.pc].src : kNoSrc;
+      std::ostringstream msg;
+      msg << "malformed IL at %" << v.pc << ": " << v.detail;
+      sink->Error("L004", span_for(src), msg.str());
+    }
+    return;
+  }
+
+  // L002: a join scan (any container scan after the first loop) with no
+  // probe key rescans its whole container once per outer candidate.
+  bool seen_scan = false;
+  for (size_t pc = 0; pc < cr.code.size(); ++pc) {
+    const Instr& in = cr.code[pc];
+    if (!IsScan(in.op)) continue;
+    if (seen_scan && IsContainerScan(in.op) && in.naux == 0) {
+      std::string what = in.op == Op::kScanSet
+                             ? std::string("a set value")
+                             : "'" + std::string(syms.name(in.sym)) + "'";
+      sink->Hint("L002", span_for(in.src),
+                 "join scan of " + what +
+                     " has no bindable key: the whole container is "
+                     "rescanned per outer candidate");
+    }
+    seen_scan = true;
+  }
+
+  std::optional<EmptyReason> empty = FindStaticallyEmpty(cr);
+  if (empty.has_value()) {
+    std::ostringstream msg;
+    msg << "rule body is statically empty: " << empty->detail << " (%"
+        << empty->pc << ": " << RenderInstruction(cr, empty->pc, syms, types)
+        << "); the rule can never fire";
+    sink->Warning("L003", span_for(cr.code[empty->pc].src), msg.str());
+  }
+}
+
+void LintProgramIl(const Program& prog, const SymbolTable& syms,
+                   const TypePool& types, DiagnosticSink* sink) {
+  for (const auto& stage : prog.stages) {
+    for (const Rule& rule : stage) {
+      std::optional<CompiledRule> cr = CompileRule(prog, rule);
+      if (!cr.has_value()) continue;  // tree-walk fallback: no IL to lint
+      LintCompiledRule(*cr, rule, syms, types, sink);
+    }
+  }
 }
 
 }  // namespace iqlkit::il

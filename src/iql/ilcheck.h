@@ -16,8 +16,11 @@
 // field projections, probe specs keyed on unbound registers, misplaced
 // terminators -- before the VM (which elides all of those checks on its
 // hot path) ever runs it. CompileRule calls it after every lowering in
-// debug builds; the optimizer (iql/ilopt.h) re-verifies its output the
-// same way.
+// debug builds.
+//
+// The L-series IL lint (`iqlint --il`) sits on top: L004 reports verifier
+// violations, L002 join scans without a probe key, and L003 bodies that
+// a forward pass over equality classes proves can never emit.
 
 #ifndef IQLKIT_IQL_ILCHECK_H_
 #define IQLKIT_IQL_ILCHECK_H_
@@ -27,8 +30,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/diagnostic.h"
 #include "base/interner.h"
+#include "iql/ast.h"
 #include "iql/il.h"
+#include "model/type.h"
 
 namespace iqlkit::il {
 
@@ -46,40 +52,11 @@ void ForEachUse(const CompiledRule& cr, size_t pc,
 // define nothing.
 int DefOf(const Instr& in);
 
-// ---- def-use chains -------------------------------------------------------
-
-struct DefUse {
-  // def[r]: pc of the unique instruction defining register r, or -1.
-  std::vector<int> def;
-  // uses[r]: pcs reading r, ascending (one entry per reading instruction).
-  std::vector<std::vector<uint32_t>> uses;
-};
-
-DefUse BuildDefUse(const CompiledRule& cr);
-
-// ---- liveness -------------------------------------------------------------
-
-// Syntactic live range of each register, with the one fact that matters
-// across backtracking: a register whose range spans a scan stays live for
-// every iteration of that scan's loop (the loop body re-reads it), so a
-// future register allocator may only share registers whose ranges avoid
-// each other's spanned scans. Theta registers are read at kEmit and so
-// are live to the end of the body.
-struct LiveRange {
-  int def = -1;       // defining pc, or -1 (never defined)
-  int last_use = -1;  // last reading pc (incl. kEmit for theta), or -1
-  bool crosses_scan = false;  // a scan sits strictly inside (def, last_use)
-};
-
-std::vector<LiveRange> ComputeLiveRanges(const CompiledRule& cr);
-
 // ---- abstract values ------------------------------------------------------
 
 // What a register is statically known to hold, from one forward pass over
 // the defs (sound per the dominance argument above). Hash-consing makes
-// raw ValueId comparison structural, so two registers with the same known
-// abstract value hold the *same id* at runtime -- the basis for the
-// optimizer's value numbering -- and two distinct constants can never
+// raw ValueId comparison structural, so two distinct constants can never
 // compare equal.
 struct AbsVal {
   enum class Kind : uint8_t {
@@ -121,6 +98,28 @@ struct IlViolation {
 // guards; a rule that passes cannot index out of range or read an
 // undefined register in VmSolver::Solve.
 std::vector<IlViolation> VerifyRule(const CompiledRule& cr);
+
+// ---- L-series lint --------------------------------------------------------
+//
+//   L002 (hint)    join scan with no bindable probe key: a full scan of the
+//                  container per outer candidate
+//   L003 (warning) statically empty rule body: a filter that can never
+//                  succeed (equality of distinct constants, a value
+//                  compared unequal to itself, a tuple match / membership
+//                  test / set scan over a value of the wrong shape)
+//   L004 (error)   verifier violation (malformed IL; never from CompileRule)
+//
+// Spans map through Instr::src to the source literal that lowered to the
+// instruction (whole-rule span when the instruction was synthesized).
+// Tree-walk fallback rules are skipped: they have no IL to diagnose.
+void LintProgramIl(const Program& prog, const SymbolTable& syms,
+                   const TypePool& types, DiagnosticSink* sink);
+
+// Renders L-series diagnostics for one already-compiled rule (the
+// building block LintProgramIl uses; exposed for tests).
+void LintCompiledRule(const CompiledRule& cr, const Rule& rule,
+                      const SymbolTable& syms, const TypePool& types,
+                      DiagnosticSink* sink);
 
 }  // namespace iqlkit::il
 

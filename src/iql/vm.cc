@@ -66,39 +66,6 @@ VmSolver::VmSolver(const il::CompiledRule& cr, const Instance& inst,
       membership_(&inst.universe()->types(), ctx.values, &inst) {
   assert(ctx.prepared == nullptr ||
          ctx.prepared->at.size() == cr.code.size());
-  // Positional strict-probe fast path: a strict scan is always followed by
-  // its kMatchTuple guard (the optimizer's filter sinking requires it and
-  // the rebuild keeps them adjacent), so the guard's shape pins where each
-  // keyed attr sits in a well-shaped candidate.
-  strict_pos_.assign(cr.code.size(), StrictPos{});
-  for (size_t pc = 0; pc + 1 < cr.code.size(); ++pc) {
-    const il::Instr& sin = cr.code[pc];
-    if (!sin.strict || sin.naux == 0) continue;
-    if (sin.op != il::Op::kScanRel && sin.op != il::Op::kScanClass &&
-        sin.op != il::Op::kScanSet) {
-      continue;
-    }
-    const il::Instr& g = cr.code[pc + 1];
-    if (g.op != il::Op::kMatchTuple || g.a != sin.dst) continue;
-    if (g.imm >= cr.shapes.size()) continue;
-    const std::vector<Symbol>& shape = cr.shapes[g.imm];
-    StrictPos sp;
-    sp.shape = g.imm;
-    bool ok = true;
-    for (uint32_t k = 0; k + 1 < sin.naux; k += 2) {
-      Symbol attr = static_cast<Symbol>(cr.aux[sin.aux + k]);
-      auto it = std::lower_bound(shape.begin(), shape.end(), attr);
-      if (it == shape.end() || *it != attr) {
-        ok = false;
-        break;
-      }
-      sp.keys.emplace_back(static_cast<uint32_t>(it - shape.begin()),
-                           static_cast<uint16_t>(cr.aux[sin.aux + k + 1]));
-    }
-    if (!ok) continue;
-    sp.valid = true;
-    strict_pos_[pc] = std::move(sp);
-  }
 }
 
 Status VmSolver::Solve(const Callback& cb) {
@@ -121,52 +88,6 @@ Status VmSolver::Solve(const Callback& cb) {
     }
   } flusher{dispatched, ctx_.rule_metrics};
 
-  // A strict scan (Instr::strict, set by the IL optimizer's filter
-  // sinking) admits only candidates whose keyed fields equal the key
-  // registers exactly -- index buckets prefilter by hash, so this is the
-  // re-match the optimizer deleted from the instruction stream. Raw-id
-  // comparison is structural because the arena hash-conses (side stores
-  // intern structurally-shared values to the shared id). When the
-  // constructor pinned field positions (strict_pos_), a candidate of the
-  // guard's exact shape compares positionally; anything else falls back
-  // to the attr search.
-  auto strict_ok = [&](const il::Instr& sin, size_t spc, ValueId cand) {
-    const ValueNode& n = values.node(cand);
-    if (n.kind != ValueKind::kTuple) return false;
-    const StrictPos& sp = strict_pos_[spc];
-    if (sp.valid) {
-      const std::vector<Symbol>& shape = cr_.shapes[sp.shape];
-      if (n.fields.size() == shape.size()) {
-        bool aligned = true;
-        for (const auto& [pos, reg] : sp.keys) {
-          if (n.fields[pos].first != shape[pos]) {
-            aligned = false;
-            break;
-          }
-        }
-        if (aligned) {
-          for (const auto& [pos, reg] : sp.keys) {
-            if (n.fields[pos].second != regs_[reg]) return false;
-          }
-          return true;
-        }
-      }
-      // Heterogeneous candidate: the attr may sit elsewhere; search.
-    }
-    for (uint32_t k = 0; k + 1 < sin.naux; k += 2) {
-      Symbol attr = static_cast<Symbol>(cr_.aux[sin.aux + k]);
-      ValueId key = regs_[cr_.aux[sin.aux + k + 1]];
-      bool match = false;
-      for (const auto& [a, v] : n.fields) {
-        if (a == attr) {
-          match = v == key;
-          break;
-        }
-      }
-      if (!match) return false;
-    }
-    return true;
-  };
   auto frame_elem = [](const Frame& f, size_t i) {
     return (f.elems != nullptr) ? (*f.elems)[i] : f.owned[i];
   };
@@ -395,22 +316,13 @@ Status VmSolver::Solve(const Callback& cb) {
         }
         f.idx = lo;
         f.end = hi;
-        // Strict skip is lazy and runs AFTER the probe/slice bookkeeping:
-        // the parallel protocol reports and partitions the unfiltered
-        // candidate list, so optimized probe and slice runs agree.
-        if (in.strict) {
-          while (f.idx < f.end && !strict_ok(in, pc, frame_elem(f, f.idx))) {
-            ++f.idx;
-          }
-        }
         if (f.idx >= f.end) {
           fail = true;
           break;
         }
         frames_.push_back(std::move(f));
-        // Poll once per *admitted* candidate, as the tree-walker does per
-        // generator visit; strictly-skipped candidates are not poll
-        // points, which only coarsens cancellation granularity.
+        // Poll once per candidate, as the tree-walker does per generator
+        // visit.
         if (ctx_.governor != nullptr) {
           IQL_RETURN_IF_ERROR(ctx_.governor->Poll());
         }
@@ -440,14 +352,7 @@ Status VmSolver::Solve(const Callback& cb) {
     for (;;) {
       if (frames_.empty()) return Status::Ok();
       Frame& fr = frames_.back();
-      const il::Instr& sin = code[fr.pc];
       ++fr.idx;
-      if (sin.strict) {
-        while (fr.idx < fr.end &&
-               !strict_ok(sin, fr.pc, frame_elem(fr, fr.idx))) {
-          ++fr.idx;
-        }
-      }
       if (fr.idx >= fr.end) {
         frames_.pop_back();
         continue;

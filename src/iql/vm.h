@@ -117,19 +117,6 @@ class VmSolver {
   const std::vector<ValueId>* delta_facts_;
   TypeMembership membership_;
 
-  // Positional strict-probe fast path: for a strict scan whose guard (the
-  // next instruction) pins the candidate shape, the constructor resolves
-  // each keyed attr to its field position once; candidates of that exact
-  // shape then compare keyed fields by position instead of searching the
-  // field list (the search remains the fallback for heterogeneous
-  // candidates). Indexed by scan pc.
-  struct StrictPos {
-    bool valid = false;
-    uint32_t shape = 0;  // shape index of the guard
-    std::vector<std::pair<uint32_t, uint16_t>> keys;  // (field pos, key reg)
-  };
-  std::vector<StrictPos> strict_pos_;
-
   std::vector<ValueId> regs_;
   std::vector<Frame> frames_;
   Valuation theta_;

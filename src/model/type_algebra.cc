@@ -118,8 +118,8 @@ bool IsClassLike(const TypeNode& n) {
 
 TypeId Meet(TypePool* pool, TypeId a, TypeId b) {
   if (a == b) return a;
-  const TypeNode& an = pool->node(a);
-  const TypeNode& bn = pool->node(b);
+  const TypeNode an = pool->node(a);  // copy: pool may grow below
+  const TypeNode bn = pool->node(b);
   if (an.kind == TypeKind::kEmpty || bn.kind == TypeKind::kEmpty) {
     return pool->Empty();
   }

@@ -15,7 +15,6 @@
 #include "iql/eval.h"
 #include "iql/il.h"
 #include "iql/ilcheck.h"
-#include "iql/ilopt.h"
 #include "iql/parser.h"
 #include "iql/typecheck.h"
 #include "model/universe.h"
@@ -255,10 +254,9 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
   }
 
   // Every rule this fuzzer generates must compile to verifier-clean IL,
-  // and the optimizer must keep it that way: optimize each lowering the
-  // evaluator can request (full and delta variants) and re-run the
-  // verifier on the output. A fresh universe keeps the front end here
-  // independent of the evaluation runs above.
+  // in every lowering the evaluator can request (full and delta
+  // variants). A fresh universe keeps the front end here independent of
+  // the evaluation runs above.
   {
     Universe u2;
     auto unit2 = ParseUnit(&u2, source);
@@ -282,21 +280,14 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
           EXPECT_TRUE(violations.empty())
               << "compiled IL fails verification: " << violations[0].detail
               << ", seed " << GetParam() << "\n" << source;
-          il::OptResult opt = il::OptimizeRule(*cr);
-          auto opt_violations = il::VerifyRule(opt.rule);
-          EXPECT_TRUE(opt_violations.empty())
-              << "optimized IL fails verification: "
-              << opt_violations[0].detail << ", seed " << GetParam() << "\n"
-              << source;
         }
       }
     }
   }
 
   // The register VM must be byte-equivalent to the tree-walker: serial,
-  // under the naive operator, inside the worker-pool fan-out with a
-  // randomized thread count, and with the IL optimizer on in each of
-  // those configurations.
+  // under the naive operator, and inside the worker-pool fan-out with a
+  // randomized thread count.
   {
     EvalOptions vm;
     vm.engine = EvalOptions::Engine::kVm;
@@ -310,20 +301,6 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
     vm.parallel_min_candidates = 1;
     auto out_vm_par = RunUnit(&u, &*unit, input, vm);
     ASSERT_TRUE(out_vm_par.ok()) << out_vm_par.status() << "\n" << source;
-    EvalOptions vm_opt;
-    vm_opt.engine = EvalOptions::Engine::kVm;
-    vm_opt.il_opt = true;
-    auto out_opt = RunUnit(&u, &*unit, input, vm_opt);
-    ASSERT_TRUE(out_opt.ok()) << out_opt.status() << "\n" << source;
-    vm_opt.enable_seminaive = false;
-    auto out_opt_naive = RunUnit(&u, &*unit, input, vm_opt);
-    ASSERT_TRUE(out_opt_naive.ok())
-        << out_opt_naive.status() << "\n" << source;
-    vm_opt.enable_seminaive = true;
-    vm_opt.num_threads = vm.num_threads;
-    vm_opt.parallel_min_candidates = 1;
-    auto out_opt_par = RunUnit(&u, &*unit, input, vm_opt);
-    ASSERT_TRUE(out_opt_par.ok()) << out_opt_par.status() << "\n" << source;
     for (int r = 3; r < GenProgram::kRelations; ++r) {
       Symbol name = u.Intern(GenProgram::Name(r));
       EXPECT_EQ(out->Relation(name), out_vm->Relation(name))
@@ -334,16 +311,6 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
           << "\n" << source;
       EXPECT_EQ(out->Relation(name), out_vm_par->Relation(name))
           << "vm (" << vm.num_threads
-          << " threads) vs tree-walk divergence, seed " << GetParam()
-          << "\n" << source;
-      EXPECT_EQ(out->Relation(name), out_opt->Relation(name))
-          << "vm+il_opt vs tree-walk divergence, seed " << GetParam()
-          << "\n" << source;
-      EXPECT_EQ(out->Relation(name), out_opt_naive->Relation(name))
-          << "vm+il_opt (naive) vs tree-walk divergence, seed " << GetParam()
-          << "\n" << source;
-      EXPECT_EQ(out->Relation(name), out_opt_par->Relation(name))
-          << "vm+il_opt (" << vm_opt.num_threads
           << " threads) vs tree-walk divergence, seed " << GetParam()
           << "\n" << source;
     }

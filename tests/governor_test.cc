@@ -446,20 +446,13 @@ TEST(GovernorTest, VmStepTripMatchesTreeWalkerPartial) {
     EXPECT_EQ(tw.stats.trip, TripReason::kSteps) << mode.name;
     ASSERT_FALSE(tw.facts.empty()) << mode.name;
 
-    // The IL optimizer only skips candidates that provably fail a filter,
-    // so committed steps stay bit-identical with it on as well.
-    for (bool il_opt : {false, true}) {
-      EvalOptions vm = VmModeOptions(mode.seminaive, mode.threads);
-      vm.il_opt = il_opt;
-      vm.limits.max_steps_per_stage = 3;
-      RunOutcome vo = RunSource(source.c_str(), vm);
-      ASSERT_FALSE(vo.status.ok()) << mode.name << ", il_opt " << il_opt;
-      EXPECT_EQ(vo.stats.trip, TripReason::kSteps)
-          << mode.name << ", il_opt " << il_opt;
-      EXPECT_EQ(vo.stats.steps, tw.stats.steps)
-          << mode.name << ", il_opt " << il_opt;
-      EXPECT_EQ(vo.facts, tw.facts) << mode.name << ", il_opt " << il_opt;
-    }
+    EvalOptions vm = VmModeOptions(mode.seminaive, mode.threads);
+    vm.limits.max_steps_per_stage = 3;
+    RunOutcome vo = RunSource(source.c_str(), vm);
+    ASSERT_FALSE(vo.status.ok()) << mode.name;
+    EXPECT_EQ(vo.stats.trip, TripReason::kSteps) << mode.name;
+    EXPECT_EQ(vo.stats.steps, tw.stats.steps) << mode.name;
+    EXPECT_EQ(vo.facts, tw.facts) << mode.name;
   }
 }
 
@@ -476,21 +469,13 @@ TEST(GovernorTest, VmDerivationTripFiresAtTheSameStep) {
     ASSERT_FALSE(tw.status.ok()) << mode.name;
     EXPECT_EQ(tw.stats.trip, TripReason::kDerivations) << mode.name;
 
-    // Derivations count satisfying valuations, which the optimizer never
-    // changes (it only skips candidates that would fail), so the trip
-    // lands at the same step with il_opt on.
-    for (bool il_opt : {false, true}) {
-      EvalOptions vm = VmModeOptions(mode.seminaive, mode.threads);
-      vm.il_opt = il_opt;
-      vm.limits.max_derivations = 40;
-      RunOutcome vo = RunSource(source.c_str(), vm);
-      ASSERT_FALSE(vo.status.ok()) << mode.name << ", il_opt " << il_opt;
-      EXPECT_EQ(vo.stats.trip, TripReason::kDerivations)
-          << mode.name << ", il_opt " << il_opt;
-      EXPECT_EQ(vo.stats.steps, tw.stats.steps)
-          << mode.name << ", il_opt " << il_opt;
-      EXPECT_EQ(vo.facts, tw.facts) << mode.name << ", il_opt " << il_opt;
-    }
+    EvalOptions vm = VmModeOptions(mode.seminaive, mode.threads);
+    vm.limits.max_derivations = 40;
+    RunOutcome vo = RunSource(source.c_str(), vm);
+    ASSERT_FALSE(vo.status.ok()) << mode.name;
+    EXPECT_EQ(vo.stats.trip, TripReason::kDerivations) << mode.name;
+    EXPECT_EQ(vo.stats.steps, tw.stats.steps) << mode.name;
+    EXPECT_EQ(vo.facts, tw.facts) << mode.name;
   }
 }
 

@@ -1,16 +1,14 @@
 // Golden IL corpus: for every examples/iql/*.iql program, the flat IL its
 // rules compile to (il::DumpProgramIl after parse + type check) is
-// compared against tests/golden_il/<name>.expected, and the verified
-// optimizer's output (iql/ilopt.h) against
-// tests/golden_il_opt/<name>.expected. Both dumps include the semi-naive
-// delta variants, so the corpus pins every lowering the evaluator can
-// request. Unlike the evaluation goldens, which compare up to
-// O-isomorphism, IL text is fully deterministic -- registers, shapes, and
-// probe specs depend only on the source -- so the comparison is exact
-// string equality. Pass --regen to rewrite both corpora after an
-// intentional lowering or pass change (then review the diff: a changed
-// dump means a changed plan, which the differential suites must still
-// prove byte-equivalent to the tree-walker).
+// compared against tests/golden_il/<name>.expected. The dump includes the
+// semi-naive delta variants, so the corpus pins every lowering the
+// evaluator can request. Unlike the evaluation goldens, which compare up
+// to O-isomorphism, IL text is fully deterministic -- registers, shapes,
+// and probe specs depend only on the source -- so the comparison is exact
+// string equality. Pass --regen to rewrite the corpus after an intentional
+// lowering change (then review the diff: a changed dump means a changed
+// plan, which the differential suites must still prove byte-equivalent to
+// the tree-walker).
 
 #include <filesystem>
 #include <fstream>
@@ -20,7 +18,6 @@
 
 #include "gtest/gtest.h"
 #include "iql/il.h"
-#include "iql/ilopt.h"
 #include "iql/parser.h"
 #include "iql/typecheck.h"
 #include "model/universe.h"
@@ -37,9 +34,8 @@ fs::path ExampleDir() {
   return fs::path(IQLKIT_SOURCE_DIR) / "examples" / "iql";
 }
 
-fs::path GoldenDir(bool optimized) {
-  return fs::path(IQLKIT_SOURCE_DIR) / "tests" /
-         (optimized ? "golden_il_opt" : "golden_il");
+fs::path GoldenDir() {
+  return fs::path(IQLKIT_SOURCE_DIR) / "tests" / "golden_il";
 }
 
 std::string ReadFile(const fs::path& path) {
@@ -60,9 +56,9 @@ std::set<std::string> ListStems(const fs::path& dir, const char* ext) {
   return out;
 }
 
-// Parses and type checks examples/iql/<name>.iql and renders its IL
-// (optimized or not), delta variants included.
-std::string DumpFor(const std::string& name, bool optimized) {
+// Parses and type checks examples/iql/<name>.iql and renders its IL,
+// delta variants included.
+std::string DumpFor(const std::string& name) {
   Universe u;
   auto unit = ParseUnit(&u, ReadFile(ExampleDir() / (name + ".iql")));
   EXPECT_TRUE(unit.ok()) << unit.status();
@@ -70,17 +66,15 @@ std::string DumpFor(const std::string& name, bool optimized) {
   Status checked = TypeCheck(&u, unit->schema, &unit->program);
   EXPECT_TRUE(checked.ok()) << checked;
   if (!checked.ok()) return "<type error>";
-  il::IlDumpOptions opts;
-  opts.optimize = optimized;
-  opts.delta_variants = true;
-  return il::DumpProgramIl(unit->program, u.symbols(), u.types(), opts);
+  return il::DumpProgramIl(unit->program, u.symbols(), u.types(),
+                           /*delta_variants=*/true);
 }
 
-void CheckAgainst(const std::string& name, bool optimized) {
-  std::string dump = DumpFor(name, optimized);
-  fs::path golden = GoldenDir(optimized) / (name + ".expected");
+void RunIlGolden(const std::string& name) {
+  std::string dump = DumpFor(name);
+  fs::path golden = GoldenDir() / (name + ".expected");
   if (regen) {
-    fs::create_directories(GoldenDir(optimized));
+    fs::create_directories(GoldenDir());
     std::ofstream out(golden);
     ASSERT_TRUE(out.good()) << "cannot write " << golden;
     out << dump;
@@ -89,13 +83,8 @@ void CheckAgainst(const std::string& name, bool optimized) {
   ASSERT_TRUE(fs::exists(golden))
       << golden << " is missing; run il_golden_test --regen";
   EXPECT_EQ(ReadFile(golden), dump)
-      << (optimized ? "optimized " : "") << "IL drift for " << name
+      << "IL drift for " << name
       << "; if intentional, run il_golden_test --regen and review the diff";
-}
-
-void RunIlGolden(const std::string& name) {
-  CheckAgainst(name, /*optimized=*/false);
-  CheckAgainst(name, /*optimized=*/true);
 }
 
 TEST(IlGoldenTest, Genesis) { RunIlGolden("genesis"); }
@@ -105,12 +94,11 @@ TEST(IlGoldenTest, Tc) { RunIlGolden("tc"); }
 TEST(IlGoldenTest, Updates) { RunIlGolden("updates"); }
 
 // Coverage guard: a new example without goldens (or a TEST above), or a
-// stale golden without an example, fails here -- for both corpora.
+// stale golden without an example, fails here.
 TEST(IlGoldenTest, EveryExampleHasAGolden) {
   if (regen) GTEST_SKIP() << "goldens are being regenerated";
   std::set<std::string> examples = ListStems(ExampleDir(), ".iql");
-  EXPECT_EQ(examples, ListStems(GoldenDir(false), ".expected"));
-  EXPECT_EQ(examples, ListStems(GoldenDir(true), ".expected"));
+  EXPECT_EQ(examples, ListStems(GoldenDir(), ".expected"));
   std::set<std::string> covered = {"genesis", "graph_encoding", "powerset",
                                    "tc", "updates"};
   EXPECT_EQ(examples, covered)

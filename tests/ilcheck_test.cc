@@ -3,13 +3,16 @@
 // and a hand-written corpus of malformed rules -- use-before-def, double
 // defs, bad aux/shape/probe encodings, misplaced terminators, broken
 // theta -- is rejected with the expected violation. The corpus is exactly
-// the invariant set the VM executes without runtime guards.
+// the invariant set the VM executes without runtime guards. The L-series
+// lint built on them gets one case per code and one per reason the
+// statically-empty pass (L003) reports.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "analysis/diagnostic.h"
 #include "iql/il.h"
 #include "iql/ilcheck.h"
 #include "iql/parser.h"
@@ -135,13 +138,6 @@ TEST(IlVerifierTest, ProbeAttrsNotAscending) {
   cr.aux = {5, 0, 5, 0};  // duplicate attr 5
   cr.num_regs = 2;
   ExpectViolation(cr, "not strictly ascending");
-}
-
-TEST(IlVerifierTest, StrictWithoutProbeSpec) {
-  CompiledRule cr = Base();
-  cr.code[0].op = Op::kScanRel;
-  cr.code[0].strict = true;  // naux == 0
-  ExpectViolation(cr, "strict flag without a container-scan probe spec");
 }
 
 TEST(IlVerifierTest, ProbeKeyUnbound) {
@@ -297,41 +293,6 @@ TEST(IlVerifierTest, CompiledRulesVerifyClean) {
   }
 }
 
-TEST(IlDataflowTest, DefUseAndLiveness) {
-  Universe u;
-  auto unit = ParseUnit(&u, kTc);
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  ASSERT_TRUE(TypeCheck(&u, unit->schema, &unit->program).ok());
-  // Rule 1: TC(x, z) :- TC(x, y), E(y, z): two scans, the join register.
-  const Rule& join = unit->program.stages[0][1];
-  auto cr = CompileRule(unit->program, join);
-  ASSERT_TRUE(cr.has_value());
-  DefUse du = BuildDefUse(*cr);
-  ASSERT_EQ(du.def.size(), cr->num_regs);
-  for (uint16_t r = 0; r < cr->num_regs; ++r) {
-    EXPECT_GE(du.def[r], 0) << "r" << r << " never defined";
-    for (uint32_t use : du.uses[r]) {
-      EXPECT_GT(static_cast<int>(use), du.def[r])
-          << "use of r" << r << " at or before its def";
-    }
-  }
-  // The outer tuple's first field (x) is read only before the inner scan
-  // but stays live across it: it is a theta register, read at kEmit.
-  std::vector<LiveRange> live = ComputeLiveRanges(*cr);
-  int inner_scan = -1;
-  int scans = 0;
-  for (size_t pc = 0; pc < cr->code.size(); ++pc) {
-    Op op = cr->code[pc].op;
-    if (op == Op::kScanRel || op == Op::kScanDelta) {
-      if (++scans == 2) inner_scan = static_cast<int>(pc);
-    }
-  }
-  ASSERT_GT(inner_scan, 0);
-  bool some_register_crosses = false;
-  for (const LiveRange& lr : live) some_register_crosses |= lr.crosses_scan;
-  EXPECT_TRUE(some_register_crosses);
-}
-
 TEST(IlDataflowTest, AbstractValuesAndDistinctness) {
   AbsVal any;
   AbsVal c1{AbsVal::Kind::kConst, 1, 0};
@@ -354,6 +315,229 @@ TEST(IlDataflowTest, AbstractValuesAndDistinctness) {
   EXPECT_TRUE(NeverTuple(c1));
   EXPECT_TRUE(NeverTuple(s));
   EXPECT_FALSE(NeverTuple(any));
+}
+
+// ---- L-series lint --------------------------------------------------------
+
+std::vector<Diagnostic> LintSource(const char* source) {
+  Universe u;
+  auto unit = ParseUnit(&u, source);
+  EXPECT_TRUE(unit.ok()) << unit.status();
+  if (!unit.ok()) return {};
+  Status checked = TypeCheck(&u, unit->schema, &unit->program);
+  EXPECT_TRUE(checked.ok()) << checked;
+  DiagnosticSink sink;
+  LintProgramIl(unit->program, u.symbols(), u.types(), &sink);
+  return sink.diagnostics();
+}
+
+// Lints hand-built IL under a rule with no body: every span falls back to
+// the (empty) rule span.
+std::vector<Diagnostic> LintHandBuilt(const CompiledRule& cr) {
+  Universe u;
+  Rule rule;
+  DiagnosticSink sink;
+  LintCompiledRule(cr, rule, u.symbols(), u.types(), &sink);
+  return sink.diagnostics();
+}
+
+int Count(const std::vector<Diagnostic>& diags, const std::string& code) {
+  int n = 0;
+  for (const Diagnostic& d : diags) n += d.code == code;
+  return n;
+}
+
+// The single L003 message, or "" when the body is not statically empty.
+std::string L003Message(const std::vector<Diagnostic>& diags) {
+  EXPECT_LE(Count(diags, "L003"), 1);
+  for (const Diagnostic& d : diags) {
+    if (d.code == "L003") {
+      EXPECT_EQ(d.severity, Severity::kWarning);
+      return d.message;
+    }
+  }
+  return "";
+}
+
+Instr Make(Op op, uint16_t dst = 0, uint16_t a = 0, uint16_t b = 0) {
+  Instr in;
+  in.op = op;
+  in.dst = dst;
+  in.a = a;
+  in.b = b;
+  return in;
+}
+
+Instr Const(uint16_t dst, Symbol sym) {
+  Instr in = Make(Op::kLoadConst, dst);
+  in.sym = sym;
+  return in;
+}
+
+TEST(IlLintTest, CanonicalTcJoinIsLintClean) {
+  // The join's E scan is keyed on y, and nothing is statically empty.
+  std::vector<Diagnostic> diags = LintSource(kTc);
+  EXPECT_TRUE(diags.empty()) << diags.size() << " diagnostics, first "
+                             << diags[0].code << ": " << diags[0].message;
+}
+
+TEST(IlLintTest, UnbindableJoinScanReportsL002) {
+  std::vector<Diagnostic> diags = LintSource(R"(
+    schema { relation R : [D, D]; relation S : [D, D]; relation T : [D, D]; }
+    input R, S; output T;
+    program { T(x, w) :- R(x, y), S(z, w). }
+  )");
+  EXPECT_GE(Count(diags, "L002"), 1);
+  for (const Diagnostic& d : diags) {
+    EXPECT_TRUE(d.span.valid()) << d.code << ": " << d.message;
+  }
+}
+
+TEST(IlLintTest, StaticallyEmptyBodyReportsL003Warning) {
+  const char* source = R"(
+    schema { relation R : D; relation S : D; }
+    input R; output S;
+    program { S(x) :- R(x), x = "a", x = "b". }
+  )";
+  std::vector<Diagnostic> diags = LintSource(source);
+  EXPECT_EQ(Count(diags, "L003"), 1);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].severity, Severity::kWarning);
+  // The span is the contradicting literal, not the whole rule.
+  EXPECT_EQ(std::string(source).substr(diags[0].span.offset,
+                                       diags[0].span.length),
+            "x = \"b\"");
+}
+
+TEST(IlLintTest, MalformedIlReportsL004Error) {
+  CompiledRule cr;
+  cr.code = {Make(Op::kScanExtent, 0), Make(Op::kCmp, 0, 0, 40),
+             Make(Op::kEmit)};
+  cr.num_regs = 1;  // r40 is out of range
+  std::vector<Diagnostic> diags = LintHandBuilt(cr);
+  EXPECT_GE(Count(diags, "L004"), 1);
+  // A malformed rule is not fed to the L003 pass: no L003 noise.
+  EXPECT_EQ(Count(diags, "L003"), 0);
+  for (const Diagnostic& d : diags) EXPECT_EQ(d.severity, Severity::kError);
+}
+
+// One case per reason FindStaticallyEmpty reports. Source programs cover
+// what CompileRule lowers; the rest is built by hand.
+
+TEST(IlLintTest, DistinctConstantsComparedEqualReportsL003) {
+  EXPECT_NE(L003Message(LintSource(R"(
+    schema { relation R : D; relation S : D; }
+    input R; output S;
+    program { S(x) :- R(x), y = "a", x = y, x = "b". }
+  )")).find("equality of provably distinct values"),
+            std::string::npos);
+  // Through an equality class: r0 = "a" succeeded, so r0 = "b" cannot.
+  CompiledRule cr;
+  cr.code = {Make(Op::kScanExtent, 0), Const(1, 1), Make(Op::kCmp, 0, 0, 1),
+             Const(2, 2), Make(Op::kCmp, 0, 0, 2), Make(Op::kEmit)};
+  cr.num_regs = 3;
+  EXPECT_EQ(L003Message(LintHandBuilt(cr)),
+            "rule body is statically empty: equality of provably distinct "
+            "values (%4: cmp r0, r2); the rule can never fire");
+}
+
+TEST(IlLintTest, ValueComparedUnequalToItselfReportsL003) {
+  // x != x compares one register; "a" != "a" compares two loads of the
+  // same constant, which value numbering merges.
+  std::vector<Diagnostic> diags = LintSource(R"(
+    schema { relation R : D; relation S : D; }
+    input R; output S;
+    program {
+      S(x) :- R(x), x != x.
+      S(x) :- R(x), "a" != "a".
+    }
+  )");
+  ASSERT_EQ(Count(diags, "L003"), 2);
+  for (const Diagnostic& d : diags) {
+    EXPECT_NE(d.message.find("a value compared unequal to itself"),
+              std::string::npos)
+        << d.message;
+  }
+}
+
+TEST(IlLintTest, TupleMatchOnNonTupleReportsL003) {
+  CompiledRule cr;
+  Instr match = Make(Op::kMatchTuple, 0, 0);
+  match.imm = 0;
+  cr.code = {Const(0, 1), match, Make(Op::kEmit)};
+  cr.shapes = {{}};
+  cr.num_regs = 1;
+  EXPECT_NE(L003Message(LintHandBuilt(cr))
+                .find("tuple match over a value that is never a tuple "
+                      "(%1: match_tuple r0 [])"),
+            std::string::npos);
+}
+
+TEST(IlLintTest, MembershipInNonSetReportsL003) {
+  // kCheckIn fails on a non-set container in either polarity.
+  for (bool pol : {true, false}) {
+    CompiledRule cr;
+    Instr check = Make(Op::kCheckIn, 0, /*a=*/0, /*b=*/1);
+    check.pol = pol;
+    cr.code = {Const(0, 1), Make(Op::kScanExtent, 1), check,
+               Make(Op::kEmit)};
+    cr.num_regs = 2;
+    EXPECT_NE(L003Message(LintHandBuilt(cr))
+                  .find("membership test in a value that is never a set "
+                        "(%2: check_in r1"),
+              std::string::npos)
+        << "pol " << pol;
+  }
+  // A scan candidate the body matched as a tuple is never a set.
+  CompiledRule cr;
+  Instr match = Make(Op::kMatchTuple, 0, 0);
+  match.imm = 0;
+  cr.code = {Make(Op::kScanExtent, 0), match, Make(Op::kScanExtent, 1),
+             Make(Op::kCheckIn, 0, /*a=*/0, /*b=*/1), Make(Op::kEmit)};
+  cr.shapes = {{}};
+  cr.num_regs = 2;
+  EXPECT_NE(L003Message(LintHandBuilt(cr))
+                .find("membership test in a value that is never a set "
+                      "(%3: check_in r1 in r0)"),
+            std::string::npos);
+}
+
+TEST(IlLintTest, ScanOfNonSetReportsL003) {
+  CompiledRule cr;
+  Instr tuple = Make(Op::kMakeTuple, 0);
+  tuple.imm = 0;  // the empty tuple
+  cr.code = {tuple, Make(Op::kScanSet, 1, 0), Make(Op::kEmit)};
+  cr.shapes = {{}};
+  cr.num_regs = 2;
+  EXPECT_NE(L003Message(LintHandBuilt(cr))
+                .find("scan of a value that is never a set "
+                      "(%1: r1 = scan_set r0)"),
+            std::string::npos);
+}
+
+TEST(IlLintTest, RepeatedEqualityIsNotStaticallyEmpty) {
+  EXPECT_EQ(L003Message(LintSource(R"(
+    schema { relation R : D; relation S : D; }
+    input R; output S;
+    program { S(x) :- R(x), x = "a", x = "a". }
+  )")),
+            "");
+  // The second load of the same constant value-numbers into the class r0
+  // already joined, so the repeated compare is no contradiction.
+  CompiledRule cr;
+  cr.code = {Make(Op::kScanExtent, 0), Const(1, 1), Make(Op::kCmp, 0, 0, 1),
+             Const(2, 1), Make(Op::kCmp, 0, 0, 2), Make(Op::kEmit)};
+  cr.num_regs = 3;
+  EXPECT_EQ(L003Message(LintHandBuilt(cr)), "");
+}
+
+TEST(IlLintTest, InequalityOfDistinctConstantsIsNotStaticallyEmpty) {
+  EXPECT_EQ(L003Message(LintSource(R"(
+    schema { relation R : D; relation S : D; }
+    input R; output S;
+    program { S(x) :- R(x), "a" != "b". }
+  )")),
+            "");
 }
 
 }  // namespace

@@ -93,29 +93,22 @@ void ExpectBitIdenticalAcrossThreadCounts(const std::string& source) {
     options.parallel_min_candidates = 1;
     options.num_threads = 1;
     std::string serial = RunToFacts(source, options);
-    // Every (engine, il_opt, thread count) cell must reproduce the serial
+    // Every (engine, thread count) cell must reproduce the serial
     // tree-walker byte-for-byte -- the VM included, at one thread and
-    // under the fan-out, with and without the IL optimizer.
+    // under the fan-out.
     for (EvalOptions::Engine engine :
          {EvalOptions::Engine::kTreeWalk, EvalOptions::Engine::kVm}) {
       options.engine = engine;
-      for (bool il_opt : {false, true}) {
-        if (engine == EvalOptions::Engine::kTreeWalk && il_opt) {
-          continue;  // il_opt is a VM-only dimension
+      for (uint32_t threads : {1u, 2u, 8u}) {
+        if (engine == EvalOptions::Engine::kTreeWalk && threads == 1) {
+          continue;  // the baseline itself
         }
-        options.il_opt = il_opt;
-        for (uint32_t threads : {1u, 2u, 8u}) {
-          if (engine == EvalOptions::Engine::kTreeWalk && threads == 1) {
-            continue;  // the baseline itself
-          }
-          options.num_threads = threads;
-          EXPECT_EQ(RunToFacts(source, options), serial)
-              << "mode " << mode.name << ", engine "
-              << (engine == EvalOptions::Engine::kVm ? "vm" : "tree-walk")
-              << ", il_opt " << il_opt << ", num_threads " << threads;
-        }
+        options.num_threads = threads;
+        EXPECT_EQ(RunToFacts(source, options), serial)
+            << "mode " << mode.name << ", engine "
+            << (engine == EvalOptions::Engine::kVm ? "vm" : "tree-walk")
+            << ", num_threads " << threads;
       }
-      options.il_opt = false;
     }
   }
 }

@@ -8,17 +8,15 @@
 //
 // Flags:
 //   --format=text|json   output format (default text)
-//   --no-hints           suppress O-level / L-level optimizer hints
+//   --no-hints           suppress O-level / L-level hints
 //   --il                 also compile every VM-eligible rule to the flat
-//                        IL and report the L-series IL diagnostics (dead
-//                        instructions, unbindable probes, statically empty
-//                        bodies, verifier violations) through the same
-//                        sink, so both formats cover them
+//                        IL and report the L-series IL diagnostics
+//                        (unbindable probes, statically empty bodies,
+//                        verifier violations) through the same sink, so
+//                        both formats cover them
 //   --il-dump            instead of linting, print the IL each VM-eligible
 //                        rule compiles to (tree-walk fallbacks marked);
 //                        used to maintain the golden IL corpus
-//   --il-dump-opt        like --il-dump, after the verified optimizer
-//                        passes (what `iqlsh --vm --il-opt` runs)
 //
 // Exit status: 2 if any file has an error, 1 if any has a warning,
 // 0 otherwise (hints never fail a run).
@@ -32,7 +30,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/diagnostic.h"
 #include "iql/il.h"
-#include "iql/ilopt.h"
+#include "iql/ilcheck.h"
 #include "iql/parser.h"
 #include "iql/typecheck.h"
 #include "model/universe.h"
@@ -43,7 +41,6 @@ int main(int argc, char** argv) {
   bool hints = true;
   bool il = false;
   bool il_dump = false;
-  bool il_dump_opt = false;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -57,9 +54,6 @@ int main(int argc, char** argv) {
       il = true;
     } else if (arg == "--il-dump") {
       il_dump = true;
-    } else if (arg == "--il-dump-opt") {
-      il_dump = true;
-      il_dump_opt = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "iqlint: unknown flag " << arg << "\n";
       return 2;
@@ -69,7 +63,7 @@ int main(int argc, char** argv) {
   }
   if (paths.empty()) {
     std::cerr << "usage: iqlint [--format=text|json] [--no-hints] [--il] "
-                 "[--il-dump|--il-dump-opt] <file.iql>...\n";
+                 "[--il-dump] <file.iql>...\n";
     return 2;
   }
   int exit_code = 0;
@@ -95,10 +89,7 @@ int main(int argc, char** argv) {
         std::cerr << "iqlint: " << checked << "\n";
         return 2;
       }
-      il::IlDumpOptions opts;
-      opts.optimize = il_dump_opt;
-      std::cout << il::DumpProgramIl(unit->program, u.symbols(), u.types(),
-                                     opts);
+      std::cout << il::DumpProgramIl(unit->program, u.symbols(), u.types());
       continue;
     }
 

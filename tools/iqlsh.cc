@@ -24,15 +24,10 @@
 //   --explain, :explain  print the static greedy join schedule per rule
 //                        (no evaluation unless --metrics is also set)
 //   --il, :il            print the flat rule IL each VM-eligible rule
-//                        compiles to (tree-walk fallbacks marked) and exit;
-//                        with --il-opt the optimized IL is printed
-//   --vm                  enumerate rule bodies with the register VM
+//                        compiles to (tree-walk fallbacks marked) and exit
+//   --vm                 enumerate rule bodies with the register VM
 //                        (EvalOptions::engine = kVm); output is
 //                        byte-identical to the default tree-walker
-//   --il-opt             run the verified IL optimizer over every compiled
-//                        rule before the VM executes it (implies nothing
-//                        about results: they stay byte-identical); with
-//                        --il, print the optimized lowering instead
 //   --lint, :lint        run the iqlint static analyzer and exit (exit
 //                        code 2 on errors, 1 on warnings, 0 otherwise)
 //   --no-seminaive       force the paper's naive operator on every stage
@@ -81,7 +76,6 @@
 #include "base/fault_injection.h"
 #include "iql/eval.h"
 #include "iql/il.h"
-#include "iql/ilopt.h"
 #include "iql/parser.h"
 #include "iql/restrict.h"
 #include "iql/typecheck.h"
@@ -133,7 +127,6 @@ int main(int argc, char** argv) {
   bool metrics_flag = false;
   bool explain_flag = false;
   bool il_flag = false;
-  bool il_opt_flag = false;
   bool vm_flag = false;
   bool no_seminaive = false;
   bool no_index = false;
@@ -178,8 +171,6 @@ int main(int argc, char** argv) {
       explain_flag = true;
     } else if (arg == "--il") {
       il_flag = true;
-    } else if (arg == "--il-opt") {
-      il_opt_flag = true;
     } else if (arg == "--vm") {
       vm_flag = true;
     } else if (arg == "--no-seminaive") {
@@ -248,12 +239,8 @@ int main(int argc, char** argv) {
   }
 
   if (il_flag) {
-    il::IlDumpOptions il_opts;
-    il_opts.optimize = il_opt_flag;
-    std::cout << (il_opt_flag ? "=== rule IL (optimized) ===\n"
-                              : "=== rule IL ===\n")
-              << il::DumpProgramIl(unit->program, u.symbols(), u.types(),
-                                   il_opts);
+    std::cout << "=== rule IL ===\n"
+              << il::DumpProgramIl(unit->program, u.symbols(), u.types());
     return 0;
   }
 
@@ -367,7 +354,6 @@ int main(int argc, char** argv) {
   options.enable_indexing = !no_index;
   options.enable_scheduling = !no_schedule;
   if (vm_flag) options.engine = EvalOptions::Engine::kVm;
-  options.il_opt = il_opt_flag;
   // Without --threads the library default applies (0 = hardware
   // concurrency); results are identical either way.
   if (threads_set) options.num_threads = num_threads;
