@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -68,8 +69,10 @@ AbsVal AbsOfDef(const Instr& in) {
   return v;
 }
 
-}  // namespace
-
+// Calls `fn` once per register the instruction at `pc` reads: the a/b
+// operands, kMakeTuple/kMakeSet element registers, and scan probe-spec key
+// registers (keys are evaluated before the scan resolves its candidate
+// list, so they count as reads at the scan's pc).
 void ForEachUse(const CompiledRule& cr, size_t pc,
                 const std::function<void(uint16_t)>& fn) {
   const Instr& in = cr.code[pc];
@@ -118,6 +121,9 @@ void ForEachUse(const CompiledRule& cr, size_t pc,
   }
 }
 
+// The register the instruction defines, or -1: loads, construction,
+// kDeref, kGetField, and scans define `dst`; filters, checks, and kEmit
+// define nothing.
 int DefOf(const Instr& in) {
   switch (in.op) {
     case Op::kLoadConst:
@@ -146,6 +152,8 @@ std::vector<AbsVal> PropagateAbstract(const CompiledRule& cr) {
   }
   return abs;
 }
+
+}  // namespace
 
 bool ProvablyDistinct(const AbsVal& a, const AbsVal& b) {
   if (a.kind == AbsVal::Kind::kAny || b.kind == AbsVal::Kind::kAny) {

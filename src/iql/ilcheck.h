@@ -26,7 +26,6 @@
 #define IQLKIT_IQL_ILCHECK_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -37,20 +36,6 @@
 #include "model/type.h"
 
 namespace iqlkit::il {
-
-// ---- operand iteration ----------------------------------------------------
-
-// Calls `fn` once per register the instruction at `pc` reads: the a/b
-// operands, kMakeTuple/kMakeSet element registers, and scan probe-spec key
-// registers (keys are evaluated before the scan resolves its candidate
-// list, so they count as reads at the scan's pc).
-void ForEachUse(const CompiledRule& cr, size_t pc,
-                const std::function<void(uint16_t)>& fn);
-
-// The register the instruction defines, or -1: loads, construction,
-// kDeref, kGetField, and scans define `dst`; filters, checks, and kEmit
-// define nothing.
-int DefOf(const Instr& in);
 
 // ---- abstract values ------------------------------------------------------
 
@@ -71,8 +56,6 @@ struct AbsVal {
   Symbol sym = kInvalidSymbol;  // kConst / kRelValue / kClassValue
   uint32_t shape = 0;           // kTuple
 };
-
-std::vector<AbsVal> PropagateAbstract(const CompiledRule& cr);
 
 // True when the two abstract values denote provably distinct runtime
 // values. Only distinct constants qualify (everything else may alias).

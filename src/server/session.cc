@@ -124,7 +124,7 @@ bool Session::Pump(uint64_t now_ms) {
 
   PollQueries(now_ms);
   if (!open()) return false;
-  EmitPages(now_ms);
+  EmitPages();
   if (!open()) return false;
   FlushOutbox(now_ms);
   if (!open()) return false;
@@ -338,9 +338,10 @@ void Session::PollQueries(uint64_t now_ms) {
     live.result = std::move(*result);
     live.result_ready = true;
     // Materialize pages: page_rows fact lines each, at least one page so
-    // the terminal frame always exists.
+    // the terminal frame always exists. The pages become the one copy of
+    // the answer: the facts string is released once it is split.
     live.pages.clear();
-    const std::string& facts = live.result.facts;
+    const std::string facts = std::exchange(live.result.facts, {});
     size_t pos = 0;
     std::string page;
     size_t rows = 0;
@@ -364,7 +365,7 @@ void Session::PollQueries(uint64_t now_ms) {
   }
 }
 
-void Session::EmitPages(uint64_t now_ms) {
+void Session::EmitPages() {
   // Only enqueues (Pump flushes right after): delivery is counted -- and
   // the query retired -- in FlushOutbox, when the terminal frame actually
   // reaches the stream. A session that dies with the frame still queued
@@ -488,9 +489,9 @@ void Session::ForceClose(uint64_t now_ms) {
 
 void Session::AbandonLiveQueries() {
   for (auto& [wire_id, live] : queries_) {
-    // The scheduler still drives the query to a terminal state; the
-    // session just will not be there to deliver it.
-    scheduler_->Cancel(live.ticket, "session closed");
+    // The scheduler still drives the query to a terminal state, then
+    // forgets it: the session will not be there to collect or deliver it.
+    scheduler_->Abandon(live.ticket, "session closed");
     ++counters_.abandoned;
   }
   queries_.clear();

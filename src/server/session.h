@@ -69,7 +69,8 @@ struct SessionCounters {
   uint64_t delivered_cancelled = 0;
   uint64_t delivered_failed = 0;
   // Accepted queries whose session died before the final PAGE; each was
-  // cancelled in the scheduler, so it still reached a terminal state there.
+  // abandoned in the scheduler (Scheduler::Abandon), so it still reached a
+  // terminal state there and was then forgotten.
   uint64_t abandoned = 0;
 };
 
@@ -97,8 +98,10 @@ class TraceSink {
 //
 // Every QUERY a session accepts reaches exactly one terminal frame on
 // the wire -- a final PAGE (done:true, outcome) or a structured ERROR --
-// unless the connection dies first, in which case the query is cancelled
-// in the scheduler (a terminal state there) and counted `abandoned`.
+// unless the connection dies first, in which case the query is abandoned
+// in the scheduler (cancelled to a terminal state, then forgotten) and
+// counted `abandoned`. A wire id is reusable once its terminal PAGE has
+// been delivered.
 class Session {
  public:
   Session(uint64_t id, ByteStream* stream, Scheduler* scheduler,
@@ -133,7 +136,7 @@ class Session {
     uint64_t ticket = 0;
     std::string wire_id;           // client-chosen id (frame field)
     bool result_ready = false;
-    QueryResult result;
+    QueryResult result;              // facts moved into `pages`
     std::vector<std::string> pages;  // materialized page payloads
     int64_t next_seq = 0;            // next page index to send
     int64_t pending_want = -1;       // client-requested page, -1 = none
@@ -159,7 +162,7 @@ class Session {
   void HandlePage(uint64_t now_ms, const Frame& frame);
   void HandleCancel(uint64_t now_ms, const Frame& frame);
   void PollQueries(uint64_t now_ms);
-  void EmitPages(uint64_t now_ms);
+  void EmitPages();
   void SendFrame(uint64_t now_ms, const Frame& frame);
   void SendError(uint64_t now_ms, const Status& status,
                  const std::string& query_id);

@@ -287,7 +287,9 @@ TEST(IlVerifierTest, CompiledRulesVerifyClean) {
       EXPECT_TRUE(VerifyRule(*cr).empty());
       for (size_t d = 0; d < rule.body.size(); ++d) {
         auto dv = CompileRule(unit->program, rule, d);
-        if (dv.has_value()) EXPECT_TRUE(VerifyRule(*dv).empty());
+        if (dv.has_value()) {
+          EXPECT_TRUE(VerifyRule(*dv).empty());
+        }
       }
     }
   }

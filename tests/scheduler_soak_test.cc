@@ -182,6 +182,9 @@ void RunSoak(uint64_t seed, size_t workers, bool deterministic) {
         case QueryOutcome::kRejected:
           ADD_FAILURE() << "Wait() returned kRejected for an admitted query";
           break;
+        case QueryOutcome::kCancelled:
+          ADD_FAILURE() << "nothing cancels a query in this soak";
+          break;
       }
       EXPECT_GE(result.attempts, 1);
       EXPECT_LE(result.attempts, options.max_retries + 1);
@@ -199,6 +202,8 @@ void RunSoak(uint64_t seed, size_t workers, bool deterministic) {
     EXPECT_EQ(counters.failed, failed);
     EXPECT_EQ(counters.rejected_queue_full + counters.rejected_overload,
               rejected);
+    // Every result was handed over, so the scheduler holds nothing.
+    EXPECT_EQ(scheduler.retained(), 0u);
   }
   EXPECT_EQ(completed + tripped + failed + rejected,
             static_cast<uint64_t>(kQueries));

@@ -399,5 +399,89 @@ TEST_F(SchedulerTest, ParseErrorFailsWithoutRetry) {
   EXPECT_EQ(scheduler.counters().retries, 0u);
 }
 
+// ---- retirement: the scheduler holds only live work ----------------------
+
+TEST_F(SchedulerTest, HandedOverResultsAreRetired) {
+  std::string reference = SerialFacts(kTransitiveClosure);
+  SchedulerOptions options;
+  options.deterministic = true;
+  Scheduler scheduler(options);
+  uint64_t last = 0;
+  for (int i = 0; i < 1000; ++i) {
+    // Every other round reuses one id: a handed-over id is free again.
+    std::string id = i % 2 == 0 ? "again" : "q" + std::to_string(i);
+    auto ticket = scheduler.Submit(MakeRequest(id, kTransitiveClosure));
+    ASSERT_TRUE(ticket.ok()) << ticket.status();
+    QueryResult result = scheduler.Wait(*ticket);
+    ASSERT_EQ(result.outcome, QueryOutcome::kCompleted) << result.status;
+    ASSERT_EQ(result.facts, reference);
+    last = *ticket;
+  }
+  EXPECT_EQ(scheduler.retained(), 0u);
+  EXPECT_EQ(scheduler.counters().completed, 1000u);
+  // A handed-over ticket is forgotten, exactly like one never issued.
+  QueryResult again = scheduler.Wait(last);
+  EXPECT_EQ(again.outcome, QueryOutcome::kFailed);
+  EXPECT_EQ(again.status.code(), StatusCode::kNotFound);
+  EXPECT_FALSE(scheduler.TryWait(last).has_value());
+  EXPECT_FALSE(scheduler.Cancel(last, "too late"));
+  EXPECT_FALSE(scheduler.Abandon(last, "too late"));
+}
+
+TEST_F(SchedulerTest, TryWaitHandsTheResultOverOnce) {
+  SchedulerOptions options;
+  options.deterministic = true;
+  Scheduler scheduler(options);
+  auto ticket = scheduler.Submit(MakeRequest("q", kTransitiveClosure));
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  EXPECT_FALSE(scheduler.TryWait(*ticket).has_value());  // still queued
+  scheduler.RunUntilIdle();
+  EXPECT_EQ(scheduler.retained(), 1u);  // finished, not yet collected
+  auto result = scheduler.TryWait(*ticket);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->outcome, QueryOutcome::kCompleted);
+  EXPECT_EQ(scheduler.retained(), 0u);
+  EXPECT_FALSE(scheduler.TryWait(*ticket).has_value());
+}
+
+TEST_F(SchedulerTest, AbandonedQueuedOrFinishedQueryIsRetired) {
+  SchedulerOptions options;
+  options.deterministic = true;
+  Scheduler scheduler(options);
+  auto finished = scheduler.Submit(MakeRequest("done", kTransitiveClosure));
+  ASSERT_TRUE(finished.ok()) << finished.status();
+  scheduler.RunUntilIdle();
+  auto queued = scheduler.Submit(MakeRequest("queued", kTransitiveClosure));
+  ASSERT_TRUE(queued.ok()) << queued.status();
+  EXPECT_EQ(scheduler.retained(), 2u);
+  // Abandon answers like Cancel: true only for a query it stopped.
+  EXPECT_TRUE(scheduler.Abandon(*queued, "session closed"));
+  EXPECT_FALSE(scheduler.Abandon(*finished, "session closed"));
+  scheduler.RunUntilIdle();
+  EXPECT_EQ(scheduler.retained(), 0u);
+  auto counters = scheduler.counters();
+  EXPECT_EQ(counters.completed, 1u);
+  EXPECT_EQ(counters.cancelled, 1u);
+  EXPECT_EQ(scheduler.Wait(*queued).status.code(), StatusCode::kNotFound);
+}
+
+TEST_F(SchedulerTest, AbandonedRunningQueryIsRetiredWhenItsAttemptEnds) {
+  SchedulerOptions options;
+  options.workers = 1;
+  Scheduler scheduler(options);
+  QueryRequest request = MakeRequest("diverges", kDivergent);
+  request.limits.deadline_seconds = 60;  // a backstop; Abandon ends it
+  // Real mode dispatches inside Submit: the query is running on return.
+  auto ticket = scheduler.Submit(std::move(request));
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  EXPECT_TRUE(scheduler.Abandon(*ticket, "session closed"));
+  scheduler.RunUntilIdle();
+  EXPECT_EQ(scheduler.retained(), 0u);
+  auto counters = scheduler.counters();
+  EXPECT_EQ(counters.cancelled, 1u);
+  EXPECT_EQ(counters.retries, 0u);
+  EXPECT_EQ(scheduler.Wait(*ticket).status.code(), StatusCode::kNotFound);
+}
+
 }  // namespace
 }  // namespace iqlkit

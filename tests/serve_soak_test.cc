@@ -9,7 +9,9 @@
 //     bucket: completed + tripped + failed + cancelled == admitted;
 //   - every query a session accepted is either delivered (one terminal
 //     PAGE hit the wire) or abandoned (its session died and the query was
-//     cancelled in the scheduler): delivered + abandoned == accepted;
+//     abandoned in the scheduler): delivered + abandoned == accepted;
+//   - once the scheduler is idle it retains nothing: every delivered
+//     result was handed over and every abandoned query was forgotten;
 //   - the serve loop never crashes, hangs, or leaks a session.
 //
 // Run under TSan in CI (the server-soak job) to sweep the real-mode
@@ -77,9 +79,11 @@ std::vector<SimClientSpec> SoakSpecs(size_t clients, size_t queries_each) {
   return specs;
 }
 
-void CheckInvariants(const Scheduler& scheduler, const ServeStats& stats,
+void CheckInvariants(Scheduler* scheduler, const ServeStats& stats,
                      const std::string& label) {
-  auto c = scheduler.counters();
+  // Abandoned runners may still be finishing their last attempt.
+  scheduler->RunUntilIdle();
+  auto c = scheduler->counters();
   EXPECT_EQ(c.admitted,
             c.completed + c.tripped_partial + c.failed + c.cancelled)
       << label << ": a scheduler-admitted query escaped its terminal bucket";
@@ -89,6 +93,8 @@ void CheckInvariants(const Scheduler& scheduler, const ServeStats& stats,
                 t.delivered_cancelled + t.delivered_failed + t.abandoned)
       << label << ": a session-accepted query was neither delivered nor "
       << "abandoned";
+  EXPECT_EQ(scheduler->retained(), 0u)
+      << label << ": the scheduler kept a handed-over or abandoned query";
 }
 
 // Deterministic-scheduler sweep: the drain lands while queries are still
@@ -109,7 +115,7 @@ TEST_F(ServeSoakTest, DrainUnderLoadWithNetworkFaults) {
     options.session.page_rows = 2;  // many pages -> many fault draws
     auto outcome = ServeSimulated(&scheduler, options, SoakSpecs(4, 6),
                                   /*drain_at_ms=*/3, /*max_ms=*/20000);
-    CheckInvariants(scheduler, outcome.stats,
+    CheckInvariants(&scheduler, outcome.stats,
                     "seed=" + std::to_string(seed));
     FaultInjector::Global().Reset();
   }
@@ -136,7 +142,7 @@ TEST_F(ServeSoakTest, ThreadedSchedulerSweep) {
       options.session.page_rows = 4;
       auto outcome = ServeSimulated(&scheduler, options, SoakSpecs(3, 5),
                                     /*drain_at_ms=*/2, /*max_ms=*/20000);
-      CheckInvariants(scheduler, outcome.stats,
+      CheckInvariants(&scheduler, outcome.stats,
                       "workers=" + std::to_string(workers) +
                           " seed=" + std::to_string(seed));
       FaultInjector::Global().Reset();
@@ -164,6 +170,7 @@ TEST_F(ServeSoakTest, TraceReplayIsByteIdentical) {
     options.session.page_rows = 2;
     ServeSimulated(&scheduler, options, SoakSpecs(3, 4), /*drain_at_ms=*/3,
                    /*max_ms=*/20000);
+    EXPECT_EQ(scheduler.retained(), 0u) << "seed=" << seed;
     FaultInjector::Global().Reset();
     return trace.str();
   };
