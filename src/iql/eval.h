@@ -169,16 +169,17 @@ struct EvalOptions {
   // threshold the serial path is cheaper than the fork/join.
   uint32_t parallel_min_candidates = 16;
 
-  // Rule enumeration engine. kTreeWalk interprets rule bodies with the
-  // backtracking tree-walker; kVm lowers each invention-free, choose-free
-  // rule to the flat IL of iql/il.h once and runs the register VM of
-  // iql/vm.h over it (rules outside that fragment silently fall back to
-  // the tree-walker -- their minting / choose order is enumeration-order
-  // sensitive). Both engines drive the same index, extent, arena, and
-  // governor machinery and produce byte-identical output at every thread
-  // count; the differential suites enforce this.
+  // Rule enumeration engine. kVm (the default) lowers each invention-free,
+  // choose-free rule to the flat IL of iql/il.h once and runs the register
+  // VM of iql/vm.h over it; rules outside that fragment fall back to the
+  // tree-walker per rule, since their minting / choose order is
+  // enumeration-order sensitive. kTreeWalk interprets every rule body with
+  // the backtracking tree-walker; the differential suites name it as the
+  // reference oracle. Both engines drive the same index, extent, arena,
+  // and governor machinery and produce byte-identical output at every
+  // thread count.
   enum class Engine { kTreeWalk, kVm };
-  Engine engine = Engine::kTreeWalk;
+  Engine engine = Engine::kVm;
 
   // Durable evaluation. When `sink` is set the work instance keeps a
   // per-step journal of fact operations, and after every committed fixpoint
@@ -250,7 +251,9 @@ Result<Instance> RunUnit(Universe* universe, ParsedUnit* unit,
 // extent cardinalities and the fields each probe can be indexed on. Type
 // checks the program if needed. This is the `:explain` view -- estimates
 // come from the *input* instance, so they describe the first round; the
-// solver re-plans dynamically as extents grow.
+// solver re-plans dynamically as extents grow. Under the default kVm
+// engine only the tree-walk fallbacks run this schedule; compiled rules
+// run the static IL order that il::Disassemble (`:il`) prints.
 Result<std::string> ExplainSchedule(Universe* universe, const Schema& schema,
                                     Program* program, const Instance& input);
 

@@ -19,26 +19,23 @@ Status ErrnoError(const std::string& what, const std::string& path) {
 }
 
 // Deterministic failure-mode selector: the n-th injected storage fault
-// (process-wide) cycles through the three modes, so a seeded soak run hits
-// all of them in a reproducible order.
-enum class StorageFaultMode { kShortWrite, kFsyncFail, kLostRename };
+// (process-wide) cycles through the three failure modes, so a seeded soak
+// run hits all of them in a reproducible order. kNone: no fault this call.
+enum class StorageFaultMode { kNone, kShortWrite, kFsyncFail, kLostRename };
 
-bool InjectStorageFault(StorageFaultMode* mode) {
+StorageFaultMode NextStorageFault() {
   FaultInjector& injector = FaultInjector::Global();
-  if (!injector.ShouldFail(FaultSite::kStorage)) return false;
-  uint64_t n = injector.injected(FaultSite::kStorage);
-  switch (n % 3) {
-    case 1:
-      *mode = StorageFaultMode::kShortWrite;
-      break;
-    case 2:
-      *mode = StorageFaultMode::kFsyncFail;
-      break;
-    default:
-      *mode = StorageFaultMode::kLostRename;
-      break;
+  if (!injector.ShouldFail(FaultSite::kStorage)) {
+    return StorageFaultMode::kNone;
   }
-  return true;
+  switch (injector.injected(FaultSite::kStorage) % 3) {
+    case 1:
+      return StorageFaultMode::kShortWrite;
+    case 2:
+      return StorageFaultMode::kFsyncFail;
+    default:
+      return StorageFaultMode::kLostRename;
+  }
 }
 
 Status WriteAll(int fd, const char* data, size_t n, const std::string& path) {
@@ -56,8 +53,9 @@ Status WriteAll(int fd, const char* data, size_t n, const std::string& path) {
 
 Status FsyncDirOf(const std::string& path) {
   size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  std::string dir = slash == std::string::npos ? "."
+                    : slash == 0               ? "/"
+                                               : path.substr(0, slash);
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return ErrnoError("open directory", dir);
   int rc = ::fsync(fd);
@@ -125,24 +123,23 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 
 Status AtomicWriteFile(const std::string& path, std::string_view bytes,
                        bool fsync) {
-  StorageFaultMode mode;
-  bool inject = InjectStorageFault(&mode);
+  StorageFaultMode fault = NextStorageFault();
   std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
   if (fd < 0) return ErrnoError("open failed for", tmp);
   size_t n = bytes.size();
-  if (inject && mode == StorageFaultMode::kShortWrite) n /= 2;
+  if (fault == StorageFaultMode::kShortWrite) n /= 2;
   Status s = WriteAll(fd, bytes.data(), n, tmp);
-  if (s.ok() && inject && mode == StorageFaultMode::kShortWrite) {
+  if (s.ok() && fault == StorageFaultMode::kShortWrite) {
     s = UnavailableError("injected short write to '" + tmp + "'");
   }
   if (s.ok() && fsync && ::fsync(fd) != 0) s = ErrnoError("fsync failed on", tmp);
-  if (s.ok() && inject && mode == StorageFaultMode::kFsyncFail) {
+  if (s.ok() && fault == StorageFaultMode::kFsyncFail) {
     s = UnavailableError("injected fsync failure on '" + tmp + "'");
   }
   ::close(fd);
   if (!s.ok()) return s;
-  if (inject && mode == StorageFaultMode::kLostRename) {
+  if (fault == StorageFaultMode::kLostRename) {
     // The crash-between-write-and-rename window: the tmp file is complete
     // and durable but the publish never happens.
     return UnavailableError("injected crash before rename of '" + tmp + "'");
@@ -171,22 +168,21 @@ Result<AppendLog> AppendLog::Open(const std::string& path) {
 
 Status AppendLog::Append(std::string_view bytes, bool fsync) {
   if (fd_ < 0) return UnavailableError("append log is closed");
-  StorageFaultMode mode;
-  bool inject = InjectStorageFault(&mode);
+  StorageFaultMode fault = NextStorageFault();
   size_t n = bytes.size();
   // kLostRename has no rename to lose on an append path; treat it as a
   // crash immediately after the buffered write, i.e. nothing made it to
   // the file — the frame is simply reported unwritten.
-  if (inject && mode == StorageFaultMode::kLostRename) {
+  if (fault == StorageFaultMode::kLostRename) {
     return UnavailableError("injected crash before append");
   }
-  if (inject && mode == StorageFaultMode::kShortWrite) n /= 2;
+  if (fault == StorageFaultMode::kShortWrite) n /= 2;
   IQL_RETURN_IF_ERROR(WriteAll(fd_, bytes.data(), n, "<wal>"));
-  if (inject && mode == StorageFaultMode::kShortWrite) {
+  if (fault == StorageFaultMode::kShortWrite) {
     return UnavailableError("injected short write to append log");
   }
   if (fsync && ::fsync(fd_) != 0) return ErrnoError("fsync failed on", "<wal>");
-  if (inject && mode == StorageFaultMode::kFsyncFail) {
+  if (fault == StorageFaultMode::kFsyncFail) {
     return UnavailableError("injected fsync failure on append log");
   }
   return Status::Ok();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <random>
@@ -17,9 +18,11 @@
 // Crash-recovery soak: kill evaluations at random committed fixpoint steps
 // (including repeatedly, on every attempt), recover from the snapshot + WAL
 // prefix, and require the resumed run to reproduce the uninterrupted run
-// byte-for-byte -- at 1, 2, and 8 evaluation threads -- plus the
-// scheduler-level resume paths (restart-served finals, retry-after-storage-
-// fault, tripped-partial checkpoints picked up by a later scheduler).
+// byte-for-byte -- at 1, 2, and 8 evaluation threads, with the crashed and
+// the resumed attempt each on either engine, against the tree-walker's
+// uninterrupted run -- plus the scheduler-level resume paths (restart-served
+// finals, retry-after-storage-fault, tripped-partial checkpoints picked up
+// by a later scheduler).
 namespace iqlkit {
 namespace {
 
@@ -79,10 +82,18 @@ LoadedUnit Load(const char* source) {
   return l;
 }
 
+using Engine = EvalOptions::Engine;
+constexpr Engine kEngines[] = {Engine::kTreeWalk, Engine::kVm};
+
+std::string EngineName(Engine engine) {
+  return engine == Engine::kVm ? "vm" : "tree";
+}
+
 // Naive-only evaluation options: with semi-naive off the step counter is an
 // exact program counter, so "never re-derives" is an equality, not a bound.
-EvalOptions NaiveOptions(uint32_t threads) {
+EvalOptions NaiveOptions(uint32_t threads, Engine engine) {
   EvalOptions options;
+  options.engine = engine;
   options.num_threads = threads;
   options.enable_seminaive = false;
   return options;
@@ -110,30 +121,37 @@ class CrashAfter : public StepCommitSink {
   uint64_t seen_ = 0;
 };
 
-// One uninterrupted durable run: reference facts and exact step count.
+// One uninterrupted run on the tree-walker, the reference engine: reference
+// facts and exact step count.
 void Reference(uint32_t threads, std::string* facts, uint64_t* steps) {
   LoadedUnit l = Load(kChain);
   EvalStats stats;
   auto out = EvaluateProgram(l.u.get(), l.unit->schema, &l.unit->program,
-                             *l.input, NaiveOptions(threads), &stats);
+                             *l.input, NaiveOptions(threads, Engine::kTreeWalk),
+                             &stats);
   ASSERT_TRUE(out.ok()) << out.status();
   *facts = WriteFacts(*out);
   *steps = stats.steps;
 }
 
-// Crash once after `crash_at` committed frames, then recover and resume to
-// completion; the output must match `reference` byte-for-byte and the
-// resumed attempt must execute exactly the steps the crash skipped.
-void CrashResumeOnce(uint32_t threads, uint64_t crash_at,
-                     const std::string& reference, uint64_t full_steps,
-                     const std::string& dir) {
+// Crash once after `crash_at` committed frames of a run on `crashed`, then
+// recover and resume to completion on `resumed`; the output must match
+// `reference` byte-for-byte and the resumed attempt must execute exactly
+// the steps the crash skipped.
+void CrashResumeOnce(Engine crashed, Engine resumed, uint32_t threads,
+                     uint64_t crash_at, const std::string& reference,
+                     uint64_t full_steps, const std::string& dir) {
+  std::string where = "engines=" + EngineName(crashed) + "->" +
+                      EngineName(resumed) + " threads=" +
+                      std::to_string(threads) +
+                      " crash_at=" + std::to_string(crash_at);
   {
     LoadedUnit l = Load(kChain);
     QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
     ASSERT_TRUE(d.active()) << d.warning();
     ASSERT_TRUE(d.BeginRun(*l.input).ok());
     CrashAfter sink(&d, crash_at);
-    EvalOptions options = NaiveOptions(threads);
+    EvalOptions options = NaiveOptions(threads, crashed);
     options.durability.sink = &sink;
     auto out = EvaluateProgram(l.u.get(), l.unit->schema, &l.unit->program,
                                *l.input, options);
@@ -149,20 +167,18 @@ void CrashResumeOnce(uint32_t threads, uint64_t crash_at,
   EXPECT_EQ((*rec)->frames_replayed, crash_at);
 
   EvalStats stats;
-  EvalOptions options = NaiveOptions(threads);
+  EvalOptions options = NaiveOptions(threads, resumed);
   options.durability.sink = &d;
   options.durability.resume = true;
   options.durability.resume_stage = (*rec)->resume_stage;
   options.durability.resume_step = (*rec)->resume_step;
   auto out = EvaluateProgram(l.u.get(), l.unit->schema, &l.unit->program,
                              (*rec)->instance, options, &stats);
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(WriteFacts(*out), reference)
-      << "threads=" << threads << " crash_at=" << crash_at;
+  ASSERT_TRUE(out.ok()) << out.status() << " " << where;
+  EXPECT_EQ(WriteFacts(*out), reference) << where;
   // Never re-derives: committed steps + resumed steps == uninterrupted
   // steps, exactly.
-  EXPECT_EQ(crash_at + stats.steps, full_steps)
-      << "threads=" << threads << " crash_at=" << crash_at;
+  EXPECT_EQ(crash_at + stats.steps, full_steps) << where;
 }
 
 void SoakAtThreads(uint32_t threads) {
@@ -174,10 +190,17 @@ void SoakAtThreads(uint32_t threads) {
   std::mt19937_64 rng(0x9E3779B97F4A7C15ull ^ threads);
   for (int round = 0; round < 6; ++round) {
     uint64_t crash_at = 1 + rng() % (full_steps - 1);
-    CrashResumeOnce(threads, crash_at, reference, full_steps,
-                    TestDir("soak_t" + std::to_string(threads) + "_r" +
-                            std::to_string(round)));
-    if (::testing::Test::HasFatalFailure()) return;
+    for (Engine crashed : kEngines) {
+      for (Engine resumed : kEngines) {
+        CrashResumeOnce(crashed, resumed, threads, crash_at, reference,
+                        full_steps,
+                        TestDir("soak_t" + std::to_string(threads) + "_r" +
+                                std::to_string(round) + "_" +
+                                EngineName(crashed) + "_" +
+                                EngineName(resumed)));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
   }
 }
 
@@ -189,15 +212,12 @@ TEST(CrashRecoverySoak, KillAtRandomCommittedStepsEightThreads) {
   SoakAtThreads(8);
 }
 
-TEST(CrashRecoverySoak, CrashOnEveryAttemptStillConverges) {
-  // The adversarial schedule: every attempt dies after committing exactly
-  // one more frame. Progress is one step per attempt, but the final output
-  // must still be byte-identical to the uninterrupted run.
-  std::string reference;
-  uint64_t full_steps = 0;
-  Reference(1, &reference, &full_steps);
-  std::string dir = TestDir("every_attempt");
-
+// Begins a durable run in `dir`, then lets every attempt die after
+// committing exactly one more frame; attempt n runs on engine_for(n). The
+// final attempt's output must equal `reference`.
+void CrashOnEveryAttempt(const std::function<Engine(uint64_t)>& engine_for,
+                         const std::string& reference, uint64_t full_steps,
+                         const std::string& dir) {
   {
     LoadedUnit l = Load(kChain);
     QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
@@ -210,7 +230,7 @@ TEST(CrashRecoverySoak, CrashOnEveryAttemptStillConverges) {
     QueryDurability d = QueryDurability::Open(dir, DurabilityConfig());
     auto rec = d.Recover(l.schema(), l.schema(), l.u.get());
     ASSERT_TRUE(rec.ok()) << rec.status();
-    EvalOptions options = NaiveOptions(1);
+    EvalOptions options = NaiveOptions(1, engine_for(attempts));
     options.durability.resume = rec->has_value();
     CrashAfter sink(&d, 1);
     options.durability.sink = &sink;
@@ -232,6 +252,26 @@ TEST(CrashRecoverySoak, CrashOnEveryAttemptStillConverges) {
   EXPECT_GE(attempts, full_steps - 2);  // real one-step-per-attempt progress
 }
 
+TEST(CrashRecoverySoak, CrashOnEveryAttemptStillConverges) {
+  // The adversarial schedule: every attempt dies after committing exactly
+  // one more frame. Progress is one step per attempt, but the final output
+  // must still be byte-identical to the uninterrupted run -- on either
+  // engine, and when the attempts alternate between engines.
+  std::string reference;
+  uint64_t full_steps = 0;
+  Reference(1, &reference, &full_steps);
+  for (Engine engine : kEngines) {
+    SCOPED_TRACE("engine " + EngineName(engine));
+    CrashOnEveryAttempt([engine](uint64_t) { return engine; }, reference,
+                        full_steps, TestDir("every_attempt_" +
+                                            EngineName(engine)));
+  }
+  SCOPED_TRACE("engines alternating");
+  CrashOnEveryAttempt(
+      [](uint64_t attempt) { return kEngines[attempt % 2]; }, reference,
+      full_steps, TestDir("every_attempt_alternating"));
+}
+
 // ---- scheduler-level resume paths ----------------------------------------
 
 class SchedulerDurabilityTest : public ::testing::Test {
@@ -250,6 +290,7 @@ std::string SerialFacts(const char* source, uint64_t* steps = nullptr) {
   LoadedUnit l = Load(source);
   EvalStats stats;
   EvalOptions options;
+  options.engine = Engine::kTreeWalk;
   options.num_threads = 1;
   auto result = RunUnit(l.u.get(), l.unit.get(), *l.input, options, &stats);
   EXPECT_TRUE(result.ok()) << result.status();
@@ -286,40 +327,53 @@ TEST_F(SchedulerDurabilityTest, FinishedQueryIsServedFromSnapshotAfterRestart) {
   }
 }
 
+// A query that tripped under one engine resumes under either: the durable
+// state is keyed by id and source, not by engine, so a server whose default
+// engine changed between runs picks up the earlier partial.
 TEST_F(SchedulerDurabilityTest, TrippedPartialIsCheckpointedAndResumedLater) {
   uint64_t full_steps = 0;
   std::string reference = SerialFacts(kChain, &full_steps);
-  std::string dir = TestDir("sched_trip");
-  {
-    // A tight step budget trips the governor; the scheduler checkpoints the
-    // rolled-back partial on drain.
-    SchedulerOptions options;
-    options.deterministic = true;
-    options.data_dir = dir;
-    Scheduler scheduler(options);
-    QueryRequest request = MakeRequest("tc", kChain);
-    request.limits.max_steps_per_stage = 2;
-    auto ticket = scheduler.Submit(std::move(request));
-    ASSERT_TRUE(ticket.ok()) << ticket.status();
-    QueryResult result = scheduler.Wait(*ticket);
-    EXPECT_EQ(result.outcome, QueryOutcome::kTrippedPartial);
-  }
-  {
-    // A later scheduler (an operator re-admitting the preempted/degraded
-    // query with a saner budget) resumes from the checkpoint: it never
-    // re-derives the committed prefix.
-    SchedulerOptions options;
-    options.deterministic = true;
-    options.data_dir = dir;
-    Scheduler scheduler(options);
-    auto ticket = scheduler.Submit(MakeRequest("tc", kChain));
-    ASSERT_TRUE(ticket.ok()) << ticket.status();
-    QueryResult result = scheduler.Wait(*ticket);
-    EXPECT_EQ(result.outcome, QueryOutcome::kCompleted);
-    EXPECT_TRUE(result.resumed);
-    EXPECT_GT(result.resume_step, 0u);
-    EXPECT_LT(result.stats.steps, full_steps);
-    EXPECT_EQ(result.facts, reference);
+  for (Engine tripped : kEngines) {
+    for (Engine resumed : kEngines) {
+      SCOPED_TRACE("engines " + EngineName(tripped) + "->" +
+                   EngineName(resumed));
+      std::string dir = TestDir("sched_trip_" + EngineName(tripped) + "_" +
+                                EngineName(resumed));
+      {
+        // A tight step budget trips the governor; the scheduler checkpoints
+        // the rolled-back partial on drain.
+        SchedulerOptions options;
+        options.deterministic = true;
+        options.data_dir = dir;
+        Scheduler scheduler(options);
+        QueryRequest request = MakeRequest("tc", kChain);
+        request.eval.engine = tripped;
+        request.limits.max_steps_per_stage = 2;
+        auto ticket = scheduler.Submit(std::move(request));
+        ASSERT_TRUE(ticket.ok()) << ticket.status();
+        QueryResult result = scheduler.Wait(*ticket);
+        EXPECT_EQ(result.outcome, QueryOutcome::kTrippedPartial);
+      }
+      {
+        // A later scheduler (an operator re-admitting the preempted/degraded
+        // query with a saner budget) resumes from the checkpoint: it never
+        // re-derives the committed prefix.
+        SchedulerOptions options;
+        options.deterministic = true;
+        options.data_dir = dir;
+        Scheduler scheduler(options);
+        QueryRequest request = MakeRequest("tc", kChain);
+        request.eval.engine = resumed;
+        auto ticket = scheduler.Submit(std::move(request));
+        ASSERT_TRUE(ticket.ok()) << ticket.status();
+        QueryResult result = scheduler.Wait(*ticket);
+        EXPECT_EQ(result.outcome, QueryOutcome::kCompleted);
+        EXPECT_TRUE(result.resumed);
+        EXPECT_GT(result.resume_step, 0u);
+        EXPECT_LT(result.stats.steps, full_steps);
+        EXPECT_EQ(result.facts, reference);
+      }
+    }
   }
 }
 

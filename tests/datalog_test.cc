@@ -90,7 +90,9 @@ TEST_F(DatalogTest, NaiveAndSemiNaiveAgreeOnRandomGraphs) {
       EXPECT_TRUE(db2.Contains(tc2, t));
     }
     // Semi-naive does strictly less re-derivation on multi-round closures.
-    if (s1.iterations > 3) EXPECT_LT(s2.derivations, s1.derivations);
+    if (s1.iterations > 3) {
+      EXPECT_LT(s2.derivations, s1.derivations);
+    }
   }
 }
 

@@ -291,7 +291,9 @@ TEST_F(FaultInjectionTest, SoakRollbackInvariantAcrossSeedsAndThreads) {
 TEST_F(FaultInjectionTest, SoakConvergingWorkloadTripsOrMatchesCleanRun) {
   // Differential-style workload: transitive closure converges, so under
   // faults each run either finishes byte-identical to the clean result or
-  // trips and rolls back -- never a third state.
+  // trips and rolls back -- never a third state. Pinned to the tree-walker;
+  // SoakVmEngineRollsBackLikeTheTreeWalker below runs the same contract on
+  // the register VM.
   constexpr const char* kTC = R"(
     schema { relation E : [D, D]; relation TC : [D, D]; }
     instance {
@@ -312,6 +314,7 @@ TEST_F(FaultInjectionTest, SoakConvergingWorkloadTripsOrMatchesCleanRun) {
     out.status = ApplyFacts(*unit, &input);
     if (!out.status.ok()) return out;
     EvalOptions options;
+    options.engine = EvalOptions::Engine::kTreeWalk;
     options.num_threads = threads;
     std::optional<Instance> partial;
     options.partial = &partial;
@@ -347,6 +350,7 @@ TEST_F(FaultInjectionTest, SoakConvergingWorkloadTripsOrMatchesCleanRun) {
         Instance input(&unit->schema, &u);
         ASSERT_TRUE(ApplyFacts(*unit, &input).ok());
         EvalOptions options;
+        options.engine = EvalOptions::Engine::kTreeWalk;
         options.limits.max_steps_per_stage = faulty.stats.steps;
         std::optional<Instance> partial;
         options.partial = &partial;
@@ -403,7 +407,9 @@ TEST_F(FaultInjectionTest, SoakVmEngineRollsBackLikeTheTreeWalker) {
   // observed step count on a clean tree-walk run.
   FaultInjector& injector = FaultInjector::Global();
   injector.Reset();
-  SoakOutcome clean = RunVmChain(EvalOptions{});
+  EvalOptions tree;
+  tree.engine = EvalOptions::Engine::kTreeWalk;
+  SoakOutcome clean = RunVmChain(tree);
   ASSERT_TRUE(clean.status.ok()) << clean.status;
   for (const FaultInjector::Config& config : SoakConfigs()) {
     for (uint32_t threads : {1u, 2u, 8u}) {
@@ -420,7 +426,7 @@ TEST_F(FaultInjectionTest, SoakVmEngineRollsBackLikeTheTreeWalker) {
         continue;
       }
       EXPECT_NE(faulty.stats.trip, TripReason::kNone) << faulty.status;
-      EvalOptions ref;
+      EvalOptions ref = tree;
       ref.limits.max_steps_per_stage = faulty.stats.steps;
       SoakOutcome reference = RunVmChain(ref);
       ASSERT_FALSE(reference.status.ok());

@@ -206,11 +206,15 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
           input.AddToRelation(GenProgram::Name(r), fact).ok());
     }
   }
-  auto out = RunUnit(&u, &*unit, input);
+  // The tree-walker is the reference engine: `out` and the mode checks
+  // below run on it, and the register VM is compared against `out`.
+  EvalOptions tree;
+  tree.engine = EvalOptions::Engine::kTreeWalk;
+  auto out = RunUnit(&u, &*unit, input, tree);
   ASSERT_TRUE(out.ok()) << out.status() << "\n" << source;
 
   // The delta-driven mode must agree bit-for-bit with the naive operator.
-  EvalOptions naive_only;
+  EvalOptions naive_only = tree;
   naive_only.enable_seminaive = false;
   auto out_naive = RunUnit(&u, &*unit, input, naive_only);
   ASSERT_TRUE(out_naive.ok()) << out_naive.status() << "\n" << source;
@@ -223,7 +227,7 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
 
   // Indexing and scheduling are pure optimizations: turning both off (the
   // default `out` runs with both on) must not change a single fact.
-  EvalOptions plain;
+  EvalOptions plain = tree;
   plain.enable_indexing = false;
   plain.enable_scheduling = false;
   auto out_plain = RunUnit(&u, &*unit, input, plain);
@@ -240,7 +244,7 @@ TEST_P(FuzzDifferentialTest, IqlMatchesDatalogOnRandomPrograms) {
   // yields the same facts as the serial default run. Relational facts are
   // rehomed into the shared store at merge time, so id-level set equality
   // is the right comparison.
-  EvalOptions parallel;
+  EvalOptions parallel = tree;
   parallel.num_threads = 2 + rng() % 7;
   parallel.parallel_min_candidates = 1;
   auto out_parallel = RunUnit(&u, &*unit, input, parallel);

@@ -84,8 +84,11 @@ RunOutcome RunSource(const char* source, EvalOptions options) {
   return out;
 }
 
+// The governor contract is stated on the tree-walker, the reference engine;
+// VmModeOptions below checks the register VM against it.
 EvalOptions ModeOptions(bool seminaive, uint32_t threads) {
   EvalOptions options;
+  options.engine = EvalOptions::Engine::kTreeWalk;
   options.enable_seminaive = seminaive;
   options.num_threads = threads;
   return options;

@@ -84,6 +84,7 @@ constexpr ModeConfig kModes[] = {
 void ExpectBitIdenticalAcrossThreadCounts(const std::string& source) {
   for (const ModeConfig& mode : kModes) {
     EvalOptions options;
+    options.engine = EvalOptions::Engine::kTreeWalk;
     options.enable_seminaive = mode.seminaive;
     options.enable_indexing = mode.indexing;
     options.enable_scheduling = mode.scheduling;
@@ -201,6 +202,7 @@ TEST(ParallelDifferentialTest, ChooseSeesCanonicalOrder) {
                       EvalOptions::ChoosePolicy::kMaxOid,
                       EvalOptions::ChoosePolicy::kRandom}) {
     EvalOptions options;
+    options.engine = EvalOptions::Engine::kTreeWalk;
     options.choose_policy = policy;
     options.choose_seed = 42;
     options.parallel_min_candidates = 1;

@@ -13,6 +13,9 @@
 #include <vector>
 
 #include "base/fault_injection.h"
+#include "iql/eval.h"
+#include "iql/parser.h"
+#include "model/universe.h"
 #include "server/scheduler.h"
 #include "server/session.h"
 #include "server/wire.h"
@@ -395,6 +398,67 @@ std::vector<std::string> PageOut(Session* session, Scheduler* scheduler,
   }
   ADD_FAILURE() << "no terminal PAGE for '" << id << "'";
   return pages;
+}
+
+// The `data` of every PAGE in `pages` (as PageOut returns them), in order.
+std::string PagedData(const std::vector<std::string>& pages) {
+  FrameDecoder decoder;
+  for (const std::string& page : pages) decoder.Feed(page);
+  std::string data;
+  for (;;) {
+    auto next = decoder.Next();
+    if (!next.ok() || !next->has_value()) break;
+    data += (**next).body.StringOr("data", "");
+  }
+  return data;
+}
+
+// The serve path evaluates with the default engine, the register VM. Its
+// paged answer must be byte-identical to a standalone run of the same unit
+// on the tree-walker, the reference engine.
+TEST_F(SessionTest, ServedTcMatchesStandaloneTreeWalker) {
+  std::string source =
+      "schema { relation E : [D, D]; relation TC : [D, D]; }\n"
+      "input E;\noutput TC;\ninstance {\n";
+  for (int i = 0; i < 12; ++i) {
+    source += "  E(" + std::to_string(i) + ", " + std::to_string(i + 1) +
+              ");\n  E(" + std::to_string(i) + ", " +
+              std::to_string((i * 5) % 13) + ");\n";
+  }
+  source +=
+      "}\nprogram {\n"
+      "  TC(x, y) :- E(x, y).\n"
+      "  TC(x, z) :- TC(x, y), E(y, z).\n"
+      "}\n";
+
+  Universe u;
+  auto unit = ParseUnit(&u, source);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  Instance input(&unit->schema, &u);
+  ASSERT_TRUE(ApplyFacts(*unit, &input).ok());
+  EvalOptions tree;
+  tree.engine = EvalOptions::Engine::kTreeWalk;
+  tree.num_threads = 1;
+  auto reference = RunUnit(&u, &*unit, input, tree);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  Scheduler scheduler(DetScheduler());
+  MemoryDuplex duplex;
+  MemoryStream server_end(&duplex, /*server_side=*/true);
+  SessionOptions options;
+  options.page_rows = 16;
+  Session session(1, &server_end, &scheduler, options, nullptr);
+  TestClient client(&duplex);
+  uint64_t now = 0;
+  client.SendHello();
+  session.Pump(now++);
+  client.Drain();
+  client.SendQuery("tc", source);
+  std::vector<std::string> pages =
+      PageOut(&session, &scheduler, &client, "tc", &now);
+  ASSERT_GT(pages.size(), 2u);
+  EXPECT_NE(pages.back().find("completed"), std::string::npos);
+  EXPECT_EQ(PagedData(pages), WriteFacts(*reference));
 }
 
 // A wire id is taken only while its query is in flight: once the terminal

@@ -64,6 +64,7 @@ TEST(VmDifferentialTest, VmMatchesTreeWalkerAcrossModes) {
   for (bool seminaive : {false, true}) {
     for (bool indexing : {false, true}) {
       EvalOptions options;
+      options.engine = EvalOptions::Engine::kTreeWalk;
       options.enable_seminaive = seminaive;
       options.enable_indexing = indexing;
       std::string tree = RunToFacts(source, options);
@@ -87,6 +88,7 @@ TEST(VmDifferentialTest, StaticallyEmptyRuleStillRunsByteIdentical) {
     }
   )";
   EvalOptions options;
+  options.engine = EvalOptions::Engine::kTreeWalk;
   std::string tree = RunToFacts(source, options);
   options.engine = EvalOptions::Engine::kVm;
   EXPECT_EQ(tree, RunToFacts(source, options));

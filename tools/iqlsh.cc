@@ -21,13 +21,13 @@
 //   --ground-facts       emit ground-facts(I) in the paper's notation
 //   --metrics, :metrics  evaluate, then dump per-rule/per-round metrics
 //                        as JSON (EvalMetrics::ToJson)
-//   --explain, :explain  print the static greedy join schedule per rule
-//                        (no evaluation unless --metrics is also set)
+//   --explain, :explain  print the tree-walker's static greedy join
+//                        schedule per rule (no evaluation unless --metrics
+//                        is also set); compiled rules run the order :il
+//                        shows
 //   --il, :il            print the flat rule IL each VM-eligible rule
-//                        compiles to (tree-walk fallbacks marked) and exit
-//   --vm                 enumerate rule bodies with the register VM
-//                        (EvalOptions::engine = kVm); output is
-//                        byte-identical to the default tree-walker
+//                        compiles to -- what evaluation actually runs --
+//                        (tree-walk fallbacks marked) and exit
 //   --lint, :lint        run the iqlint static analyzer and exit (exit
 //                        code 2 on errors, 1 on warnings, 0 otherwise)
 //   --no-seminaive       force the paper's naive operator on every stage
@@ -127,7 +127,6 @@ int main(int argc, char** argv) {
   bool metrics_flag = false;
   bool explain_flag = false;
   bool il_flag = false;
-  bool vm_flag = false;
   bool no_seminaive = false;
   bool no_index = false;
   bool no_schedule = false;
@@ -171,8 +170,6 @@ int main(int argc, char** argv) {
       explain_flag = true;
     } else if (arg == "--il") {
       il_flag = true;
-    } else if (arg == "--vm") {
-      vm_flag = true;
     } else if (arg == "--no-seminaive") {
       no_seminaive = true;
     } else if (arg == "--no-index") {
@@ -353,7 +350,6 @@ int main(int argc, char** argv) {
   options.enable_seminaive = !no_seminaive;
   options.enable_indexing = !no_index;
   options.enable_scheduling = !no_schedule;
-  if (vm_flag) options.engine = EvalOptions::Engine::kVm;
   // Without --threads the library default applies (0 = hardware
   // concurrency); results are identical either way.
   if (threads_set) options.num_threads = num_threads;
